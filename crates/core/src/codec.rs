@@ -112,13 +112,10 @@ impl Fnv1a {
         Self(Self::OFFSET)
     }
 
-    /// Hashes raw bytes with a length prefix, keeping concatenated
-    /// variable-length fields unambiguous.
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_u32(bytes.len() as u32);
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
+    /// Continues a hash whose state so far is `state` (a `finish()`
+    /// value of the same algorithm).
+    pub(crate) fn resume(state: u64) -> Self {
+        Self(state)
     }
 
     pub(crate) fn write_u32(&mut self, value: u32) {

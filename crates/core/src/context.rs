@@ -38,7 +38,7 @@ use pwcet_progen::CompiledProgram;
 
 use crate::codec::Fnv1a;
 use crate::error::CoreError;
-use crate::pipeline::{expand_compiled, SolveArtifacts};
+use crate::pipeline::{expand_compiled, SolveArtifacts, Solved};
 
 /// Per-set reference buckets: `index[s]` lists the `(node, reference
 /// index)` pairs whose address maps to cache set `s`, in graph order
@@ -92,9 +92,10 @@ pub struct AnalysisContext {
     /// Incremental mode only; cold mode uses `levels[W]`.
     full: OnceLock<ClassifiedLevel>,
     srb: OnceLock<SrbMap>,
-    /// Solve-stage products per `(timing, IPET)` configuration. A plain
-    /// linear scan: real workloads touch one or two keys per context.
-    solved: Mutex<Vec<(SolveKey, Arc<SolveArtifacts>)>>,
+    /// Solve-stage products per `(timing, IPET)` configuration, each
+    /// with its memo of penalty distributions. A plain linear scan: real
+    /// workloads touch one or two keys per context.
+    solved: Mutex<Vec<(SolveKey, Arc<Solved>)>>,
     /// Per-context memo of registry-obtained IPET templates per
     /// [`IpetOptions`] — the shared constraint matrix every
     /// `(set, fault)` delta ILP, SRB column ILP, and fault-free WCET
@@ -407,7 +408,7 @@ impl AnalysisContext {
             + usize::from(self.full.get().is_some())
     }
 
-    /// The memoized solve-stage artifacts for `key`, running `compute` on
+    /// The memoized solve-stage products for `key`, running `compute` on
     /// the first request. The (expensive, ILP-heavy) computation runs
     /// outside the lock; when two threads race on the same key the first
     /// insert wins and the loser adopts it, so every caller observes one
@@ -421,27 +422,39 @@ impl AnalysisContext {
         &self,
         key: SolveKey,
         compute: impl FnOnce() -> Result<(SolveArtifacts, SolveStats), CoreError>,
-    ) -> Result<(Arc<SolveArtifacts>, Option<SolveStats>), CoreError> {
+    ) -> Result<(Arc<Solved>, Option<SolveStats>), CoreError> {
         {
             let solved = self.solved.lock().expect("solve memo lock");
-            if let Some((_, artifacts)) = solved.iter().find(|(k, _)| *k == key) {
-                return Ok((Arc::clone(artifacts), None));
+            if let Some((_, found)) = solved.iter().find(|(k, _)| *k == key) {
+                return Ok((Arc::clone(found), None));
             }
         }
         let (artifacts, stats) = compute()?;
-        let artifacts = Arc::new(artifacts);
+        let fresh = Arc::new(Solved::new(artifacts));
         let mut solved = self.solved.lock().expect("solve memo lock");
         if let Some((_, existing)) = solved.iter().find(|(k, _)| *k == key) {
             return Ok((Arc::clone(existing), None));
         }
-        solved.push((key, Arc::clone(&artifacts)));
-        Ok((artifacts, Some(stats)))
+        solved.push((key, Arc::clone(&fresh)));
+        Ok((fresh, Some(stats)))
     }
 
     /// Number of distinct `(timing, IPET)` configurations whose solve
     /// artifacts are memoized (test/debug introspection).
     pub fn solved_configurations(&self) -> usize {
         self.solved.lock().expect("solve memo lock").len()
+    }
+
+    /// Number of penalty distributions memoized across every solve
+    /// configuration (test/debug introspection; each configuration holds
+    /// at most [`ESTIMATE_MEMO_CAPACITY`](crate::ESTIMATE_MEMO_CAPACITY)).
+    pub fn memoized_penalties(&self) -> usize {
+        self.solved
+            .lock()
+            .expect("solve memo lock")
+            .iter()
+            .map(|(_, solved)| solved.penalties.len())
+            .sum()
     }
 
     /// Attaches the cross-geometry [`TemplateRegistry`] templates are
@@ -673,7 +686,7 @@ impl AnalysisContext {
                 .lock()
                 .expect("solve memo lock")
                 .iter()
-                .map(|(key, artifacts)| (*key, artifacts.as_ref().clone()))
+                .map(|(key, solved)| (*key, solved.artifacts.clone()))
                 .collect(),
             bases: self.collect_bases(),
         }
@@ -714,7 +727,7 @@ impl AnalysisContext {
         *context.solved.lock().expect("solve memo lock") = parts
             .solved
             .into_iter()
-            .map(|(key, artifacts)| (key, Arc::new(artifacts)))
+            .map(|(key, artifacts)| (key, Arc::new(Solved::new(artifacts))))
             .collect();
         *context.pending_bases.lock().expect("pending bases lock") = parts.bases;
         context

@@ -130,15 +130,30 @@ impl ContextCache {
     /// filed under: an FNV-1a hash of the image base and words, the
     /// function extents, the loop bounds, the cache geometry, and the
     /// classification mode — everything that shapes the CFG and the
-    /// CHMC, and nothing that doesn't.
+    /// CHMC, and nothing that doesn't. The program part is the
+    /// compiled program's memoized
+    /// [`content_digest`](CompiledProgram::content_digest), which this
+    /// hash continues, so only the first key of a compiled program reads
+    /// its image.
     pub fn key_of(
         compiled: &CompiledProgram,
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> u64 {
+        Self::keys_of(compiled, geometry, mode).0
+    }
+
+    /// `(key_of, family_key_of)` from one pass: the key continues the
+    /// family hash with the way count.
+    pub(crate) fn keys_of(
+        compiled: &CompiledProgram,
+        geometry: CacheGeometry,
+        mode: ClassificationMode,
+    ) -> (u64, u64) {
         let mut hash = Self::family_hash(compiled, geometry, mode);
+        let family = hash.finish();
         hash.write_u32(geometry.ways());
-        hash.finish()
+        (hash.finish(), family)
     }
 
     /// The **family fingerprint**: everything [`key_of`](Self::key_of)
@@ -158,23 +173,10 @@ impl ContextCache {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Fnv1a {
-        let mut hash = Fnv1a::new();
-        hash.write_u32(compiled.image().base());
-        for &word in compiled.image().words() {
-            hash.write_u32(word);
-        }
-        // The CFG expander consumes extents and loop bounds alongside the
-        // raw image; two images with identical bytes but different
-        // metadata classify differently.
-        for function in compiled.functions() {
-            hash.write_bytes(function.name().as_bytes());
-            hash.write_u32(function.entry());
-            hash.write_u32(function.end());
-        }
-        for bound in compiled.loop_bounds() {
-            hash.write_u32(bound.header);
-            hash.write_u32(bound.bound);
-        }
+        // The digest covers the image and the extents and loop bounds the
+        // CFG expander consumes alongside it: two images with identical
+        // bytes but different metadata classify differently.
+        let mut hash = Fnv1a::resume(compiled.content_digest());
         hash.write_u32(geometry.sets());
         hash.write_u32(geometry.block_bytes());
         hash.write_u32(match mode {

@@ -29,7 +29,11 @@
 //! [`ClassificationMode::Incremental`], warm-started from the adjacent
 //! level so only the full-associativity fixpoint ever runs cold — and
 //! the per-`(set, fault)` delta ILP solves fan out across worker threads
-//! according to [`AnalysisConfig::parallelism`]. The sequential mode
+//! according to [`AnalysisConfig::parallelism`]. The per-set penalty
+//! convolution runs on the calling thread (a balanced reduction tree),
+//! and each penalty distribution is memoized beside the context's solve
+//! artifacts per `(pfail, protection, convolution parameters)`, so a
+//! repeated estimate skips it. The sequential mode
 //! ([`Parallelism::Sequential`]) produces bit-identical results — see
 //! `tests/parallel_equivalence.rs`. Use
 //! [`PwcetAnalyzer::analyze_batch`] to parallelize across whole programs,
@@ -64,6 +68,7 @@ mod context_cache;
 mod error;
 mod estimate;
 mod fmm;
+mod penalty_memo;
 mod pipeline;
 mod reuse_plane;
 
@@ -74,6 +79,7 @@ pub use context_cache::{ContextCache, ContextCacheStats, DEFAULT_CONTEXT_CAPACIT
 pub use error::CoreError;
 pub use estimate::{Protection, PwcetEstimate};
 pub use fmm::FaultMissMap;
+pub use penalty_memo::ESTIMATE_MEMO_CAPACITY;
 pub use pipeline::{delta_cost_model, expand_compiled, ProgramAnalysis, PwcetAnalyzer};
 pub use pwcet_analysis::{ClassificationMode, ClassifierBackend, KernelStats};
 pub use pwcet_ilp::{BasisSnapshot, SolveStats, SolverBackend};

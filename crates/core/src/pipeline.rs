@@ -31,6 +31,7 @@ use crate::context_cache::ContextCache;
 use crate::error::CoreError;
 use crate::estimate::{Protection, PwcetEstimate};
 use crate::fmm::FaultMissMap;
+use crate::penalty_memo::{MemoCounters, PenaltyKey, PenaltyMemo};
 use crate::reuse_plane::{ReusePlane, ReuseTier};
 
 /// Builds the expanded control-flow graph of a compiled program (function
@@ -217,7 +218,7 @@ impl PwcetAnalyzer {
             "context geometry must match the analyzer configuration"
         );
         let kernel_before = context.kernel_stats();
-        let (artifacts, stats) = context
+        let (solved, stats) = context
             .solve_artifacts((self.config.timing, self.config.ipet), || {
                 solve_protection_independent(context, &self.config)
             })?;
@@ -240,7 +241,11 @@ impl PwcetAnalyzer {
         Ok(ProgramAnalysis {
             config: self.config,
             name: context.name().to_string(),
-            artifacts,
+            solved,
+            memo_counters: self
+                .reuse
+                .as_ref()
+                .map(|plane| plane.estimate_memo_counters()),
         })
     }
 
@@ -347,6 +352,24 @@ pub(crate) struct SolveArtifacts {
     pub(crate) fault_free_wcet: u64,
     pub(crate) fmm: FaultMissMap,
     pub(crate) srb_last_column: Vec<u64>,
+}
+
+/// One solve configuration's memoized products inside a context: the
+/// artifacts plus the penalty distributions estimated from them (which
+/// only add the fault model, protection, and convolution parameters).
+#[derive(Debug)]
+pub(crate) struct Solved {
+    pub(crate) artifacts: SolveArtifacts,
+    pub(crate) penalties: PenaltyMemo,
+}
+
+impl Solved {
+    pub(crate) fn new(artifacts: SolveArtifacts) -> Self {
+        Self {
+            artifacts,
+            penalties: PenaltyMemo::default(),
+        }
+    }
 }
 
 /// Stages 2–3 over a shared context: classification prewarm, fault-free
@@ -508,7 +531,9 @@ fn solve_protection_independent(
 pub struct ProgramAnalysis {
     config: AnalysisConfig,
     name: String,
-    artifacts: Arc<SolveArtifacts>,
+    solved: Arc<Solved>,
+    /// The plane's estimate-memo counters (`None` without a plane).
+    memo_counters: Option<Arc<MemoCounters>>,
 }
 
 impl ProgramAnalysis {
@@ -519,17 +544,17 @@ impl ProgramAnalysis {
 
     /// The deterministic fault-free WCET in cycles.
     pub fn fault_free_wcet(&self) -> u64 {
-        self.artifacts.fault_free_wcet
+        self.solved.artifacts.fault_free_wcet
     }
 
     /// The fault miss map (unprotected columns `f = 1..=W`).
     pub fn fmm(&self) -> &FaultMissMap {
-        &self.artifacts.fmm
+        &self.solved.artifacts.fmm
     }
 
     /// The recomputed `f = W` column under the SRB, per set.
     pub fn srb_last_column(&self) -> &[u64] {
-        &self.artifacts.srb_last_column
+        &self.solved.artifacts.srb_last_column
     }
 
     /// The configuration the analysis ran with.
@@ -538,14 +563,32 @@ impl ProgramAnalysis {
     }
 
     /// The fault-penalty distribution (in cycles) for one protection
-    /// level: per-set binomial mixtures over the fault miss map, convolved
+    /// level, computed once per `(pfail, protection, convolution
+    /// parameters)` and memoized beside the context's solve artifacts, so
+    /// re-queries skip the convolution.
+    fn penalty(&self, protection: Protection) -> Arc<DiscreteDistribution> {
+        let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Convolve);
+        let key = PenaltyKey::new(
+            self.config.fault_model.pfail(),
+            protection,
+            &self.config.convolution,
+        );
+        let (penalty, hit) = self
+            .solved
+            .penalties
+            .get_or_compute(key, || self.convolve_penalty(protection));
+        if let Some(counters) = &self.memo_counters {
+            counters.record(hit);
+        }
+        penalty
+    }
+
+    /// Per-set binomial mixtures over the fault miss map, convolved
     /// across independent sets (§II-C) and scaled by the miss penalty.
-    ///
     /// The per-set distributions are combined by the balanced reduction
     /// tree of [`DiscreteDistribution::convolve_all`] — `O(n log n)`
     /// support growth instead of the quadratic left fold.
-    pub fn penalty_distribution(&self, protection: Protection) -> DiscreteDistribution {
-        let _span = pwcet_obs::stage_span(pwcet_obs::Stage::Convolve);
+    fn convolve_penalty(&self, protection: Protection) -> DiscreteDistribution {
         let geometry = self.config.geometry;
         let ways = geometry.ways();
         let pbf = self
@@ -591,21 +634,13 @@ impl ProgramAnalysis {
             })
             .collect();
 
-        DiscreteDistribution::convolve_all_parallel(
-            &per_set,
-            &self.config.convolution,
-            self.config.parallelism,
-        )
-        .scale_values(self.config.timing.miss_penalty_cycles())
+        DiscreteDistribution::convolve_all(&per_set, &self.config.convolution)
+            .scale_values(self.config.timing.miss_penalty_cycles())
     }
 
     /// Assembles the pWCET estimate for one protection level.
     pub fn estimate(&self, protection: Protection) -> PwcetEstimate {
-        PwcetEstimate::new(
-            protection,
-            self.fault_free_wcet(),
-            self.penalty_distribution(protection),
-        )
+        PwcetEstimate::new(protection, self.fault_free_wcet(), self.penalty(protection))
     }
 }
 

@@ -54,11 +54,13 @@ use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
 use pwcet_ilp::{SolveStats, SolveStatsCell};
 use pwcet_ipet::TemplateRegistry;
+use pwcet_obs::Registry;
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{decode_context, encode_context, validate_entry};
 use crate::context::AnalysisContext;
 use crate::context_cache::{ContextCache, ContextCacheStats};
+use crate::penalty_memo::MemoCounters;
 use crate::pipeline::expand_compiled;
 
 /// Default on-disk budget: far above a full benchmark-suite store (a few
@@ -369,6 +371,11 @@ pub struct ReusePlane {
     /// through this plane (recorded by the analyzer alongside the
     /// solver counters; survives context eviction).
     kernel: KernelStatsCell,
+    /// Named instruments of the analyses run through this plane (the
+    /// estimate-memo hit/miss counters), scraped by a service's metrics
+    /// verb.
+    metrics: Registry,
+    estimate_memo: Arc<MemoCounters>,
 }
 
 impl Default for ReusePlane {
@@ -388,6 +395,8 @@ impl ReusePlane {
     /// with code still using it directly; both sides observe one set of
     /// entries and counters.
     pub fn with_memory(memory: Arc<ContextCache>) -> Self {
+        let metrics = Registry::new();
+        let estimate_memo = Arc::new(MemoCounters::register(&metrics));
         Self {
             memory,
             disk: None,
@@ -399,7 +408,20 @@ impl ReusePlane {
             registry: Arc::new(TemplateRegistry::new()),
             ilp: SolveStatsCell::default(),
             kernel: KernelStatsCell::default(),
+            metrics,
+            estimate_memo,
         }
+    }
+
+    /// The plane's metrics registry: `estimate_memo_hits` and
+    /// `estimate_memo_misses` count the penalty-distribution lookups of
+    /// every analysis served through this plane.
+    pub fn metrics(&self) -> &Registry {
+        &self.metrics
+    }
+
+    pub(crate) fn estimate_memo_counters(&self) -> Arc<MemoCounters> {
+        Arc::clone(&self.estimate_memo)
     }
 
     /// The plane's cross-geometry IPET template registry — one factored
@@ -589,8 +611,7 @@ impl ReusePlane {
         geometry: CacheGeometry,
         mode: ClassificationMode,
     ) -> Result<(Arc<AnalysisContext>, ReuseTier), CfgError> {
-        let key = ContextCache::key_of(compiled, geometry, mode);
-        let family = ContextCache::family_key_of(compiled, geometry, mode);
+        let (key, family) = ContextCache::keys_of(compiled, geometry, mode);
         if let Some(context) = self.memory.lookup(key) {
             self.register_family(family, geometry.ways(), key);
             context.attach_registry(Arc::clone(&self.registry));
@@ -631,8 +652,17 @@ impl ReusePlane {
     /// written. IO failures are logged and counted, never raised —
     /// persistence is an optimization.
     pub fn persist(&self, compiled: &CompiledProgram, context: &AnalysisContext) -> bool {
+        if !self.persists() {
+            return false;
+        }
         let key = ContextCache::key_of(compiled, *context.geometry(), context.mode());
         self.persist_keyed(key, context)
+    }
+
+    /// Whether [`persist`](Self::persist) has anywhere to write: a disk
+    /// tier or a network tier.
+    fn persists(&self) -> bool {
+        self.disk.is_some() || self.network.get().is_some()
     }
 
     /// Writes every memory-tier context through to the disk tier,
@@ -640,7 +670,7 @@ impl ReusePlane {
     /// sweep to capture lazily-warmed artifacts the per-analysis
     /// write-through may have missed.
     pub fn flush(&self) -> usize {
-        if self.disk.is_none() && self.network.get().is_none() {
+        if !self.persists() {
             return 0;
         }
         self.memory
@@ -991,9 +1021,6 @@ impl ReusePlane {
 
     fn persist_keyed(&self, key: u64, context: &AnalysisContext) -> bool {
         let network = self.network.get();
-        if self.disk.is_none() && network.is_none() {
-            return false;
-        }
         let richness = Richness::of(context);
         if richness == Richness::default() {
             return false; // nothing worth storing yet

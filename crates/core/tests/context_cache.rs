@@ -139,3 +139,91 @@ fn different_images_get_different_entries() {
     let stats = cache.stats();
     assert_eq!((stats.hits, stats.misses, stats.len), (0, 3, 3));
 }
+
+#[test]
+fn content_keys_are_pinned_across_the_one_pass_hash() {
+    // Values of the original two-pass `key_of` / `family_key_of`, which
+    // hashed the image on every call. The digest-continuing hash must
+    // reproduce them exactly: they name disk-tier files and route fleet
+    // peers.
+    let pinned: [(&str, CacheGeometry, ClassificationMode, u64, u64); 8] = [
+        (
+            "bs",
+            CacheGeometry::paper_default(),
+            ClassificationMode::Incremental,
+            0x3968_987e_81a0_203c,
+            0xbc0a_a91c_7c99_2a78,
+        ),
+        (
+            "bs",
+            CacheGeometry::new(16, 2, 16),
+            ClassificationMode::Cold,
+            0x186e_0776_e023_f13b,
+            0x5c05_5524_d2ce_e709,
+        ),
+        (
+            "crc",
+            CacheGeometry::paper_default(),
+            ClassificationMode::Incremental,
+            0xa1c8_1435_ddf9_918a,
+            0xfa95_6d93_9916_65ee,
+        ),
+        (
+            "crc",
+            CacheGeometry::new(16, 2, 16),
+            ClassificationMode::Cold,
+            0x00b8_334f_9554_54cd,
+            0x9a90_199b_ef4c_227f,
+        ),
+        (
+            "nsichneu",
+            CacheGeometry::paper_default(),
+            ClassificationMode::Incremental,
+            0x9ea2_68fe_2561_1998,
+            0x9363_10dd_0646_ac1c,
+        ),
+        (
+            "nsichneu",
+            CacheGeometry::new(16, 2, 16),
+            ClassificationMode::Cold,
+            0x7d7d_3839_3592_cf1f,
+            0x335d_bce5_5c7c_68ad,
+        ),
+        (
+            "adpcm",
+            CacheGeometry::paper_default(),
+            ClassificationMode::Incremental,
+            0xbe41_d5d6_6362_f927,
+            0xf991_ca36_22f3_1633,
+        ),
+        (
+            "adpcm",
+            CacheGeometry::new(16, 2, 16),
+            ClassificationMode::Cold,
+            0xdf67_069b_5331_43a0,
+            0x5997_1e2d_ccbd_59a2,
+        ),
+    ];
+    for (name, geometry, mode, key, family) in pinned {
+        let compiled = pwcet_benchsuite::by_name(name)
+            .expect("suite program")
+            .program
+            .compile(0x0040_0000)
+            .unwrap();
+        // Twice: the second call answers from the memoized digest.
+        for _ in 0..2 {
+            assert_eq!(
+                ContextCache::key_of(&compiled, geometry, mode),
+                key,
+                "{name}"
+            );
+            assert_eq!(
+                ContextCache::family_key_of(&compiled, geometry, mode),
+                family,
+                "{name}"
+            );
+        }
+        // A clone carries the digest along and agrees.
+        assert_eq!(ContextCache::key_of(&compiled.clone(), geometry, mode), key);
+    }
+}

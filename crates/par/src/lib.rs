@@ -24,7 +24,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// How a fan-out stage schedules its work items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,8 @@ pub enum Parallelism {
     /// property tests compare against).
     Sequential,
     /// One worker per available core; the `PWCET_THREADS` environment
-    /// variable overrides the count when set to a positive integer.
+    /// variable overrides the count when set to a positive integer. The
+    /// variable is read once per process.
     Auto,
     /// Exactly this many workers.
     Threads(NonZeroUsize),
@@ -52,17 +53,27 @@ impl Parallelism {
     pub fn worker_count(self, items: usize) -> usize {
         let configured = match self {
             Self::Sequential => 1,
-            Self::Auto => std::env::var("PWCET_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-                }),
+            Self::Auto => {
+                static AUTO: OnceLock<usize> = OnceLock::new();
+                *AUTO.get_or_init(|| {
+                    auto_workers(
+                        std::env::var("PWCET_THREADS").ok().as_deref(),
+                        std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+                    )
+                })
+            }
             Self::Threads(n) => n.get(),
         };
         configured.min(items).max(1)
     }
+}
+
+/// The `Auto` worker count: a positive integer `PWCET_THREADS` value,
+/// else the core count (unset, zero, and garbage all fall back).
+fn auto_workers(env: Option<&str>, cores: usize) -> usize {
+    env.and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(cores)
 }
 
 impl Default for Parallelism {
@@ -290,6 +301,32 @@ mod tests {
         assert_eq!(Parallelism::threads(8).worker_count(0), 1);
         assert_eq!(Parallelism::Sequential.worker_count(100), 1);
         assert!(Parallelism::Auto.worker_count(100) >= 1);
+    }
+
+    #[test]
+    fn auto_workers_falls_back_to_the_core_count() {
+        assert_eq!(auto_workers(None, 6), 6);
+        assert_eq!(auto_workers(Some("3"), 6), 3);
+        assert_eq!(auto_workers(Some("0"), 6), 6);
+        assert_eq!(auto_workers(Some("garbage"), 6), 6);
+        assert_eq!(auto_workers(Some("-2"), 6), 6);
+        assert_eq!(auto_workers(Some(""), 6), 6);
+    }
+
+    #[test]
+    fn auto_worker_count_is_read_once() {
+        let first = Parallelism::Auto.worker_count(usize::MAX);
+        assert!(first >= 1);
+        // Only this test writes the variable, and only after the count
+        // is cached: a later change must not be observed.
+        let saved = std::env::var_os("PWCET_THREADS");
+        std::env::set_var("PWCET_THREADS", (first + 7).to_string());
+        let later = Parallelism::Auto.worker_count(usize::MAX);
+        match saved {
+            Some(value) => std::env::set_var("PWCET_THREADS", value),
+            None => std::env::remove_var("PWCET_THREADS"),
+        }
+        assert_eq!(later, first);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use pwcet_par::{par_map, Parallelism};
-
 use crate::error::{check_probability, ProbError};
 
 /// Tolerance applied when checking that total probability mass does not
@@ -368,9 +366,8 @@ impl DiscreteDistribution {
     /// — every pairwise step moves pruned/compacted mass to *larger*
     /// penalties, and the composition of conservative steps is
     /// conservative. Up to that pruning (and floating-point association)
-    /// the result equals the left fold
-    /// ([`convolve_all_sequential`](Self::convolve_all_sequential), kept
-    /// as the reference for the property tests).
+    /// the result equals the left fold, which the unit tests keep as the
+    /// reference.
     ///
     /// # Example
     ///
@@ -387,32 +384,19 @@ impl DiscreteDistribution {
     /// ```
     #[must_use]
     pub fn convolve_all(parts: &[Self], params: &ConvolutionParams) -> Self {
-        Self::convolve_all_parallel(parts, params, Parallelism::Sequential)
-    }
-
-    /// As [`convolve_all`](Self::convolve_all), fanning each tree level's
-    /// independent pairwise convolutions out across worker threads.
-    ///
-    /// The pairing is fixed by index, so the result is **bit-identical**
-    /// for every [`Parallelism`] mode.
-    #[must_use]
-    pub fn convolve_all_parallel(
-        parts: &[Self],
-        params: &ConvolutionParams,
-        parallelism: Parallelism,
-    ) -> Self {
         // One tree level: convolve neighbor pairs, carry an odd leftover.
         fn reduce_level(
             level: &[DiscreteDistribution],
             params: &ConvolutionParams,
-            parallelism: Parallelism,
         ) -> Vec<DiscreteDistribution> {
-            let pairs: Vec<&[DiscreteDistribution]> = level.chunks(2).collect();
-            par_map(parallelism, &pairs, |chunk| match *chunk {
-                [ref a, ref b] => a.convolve_with(b, params),
-                [ref odd] => odd.clone(),
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            })
+            level
+                .chunks(2)
+                .map(|chunk| match chunk {
+                    [a, b] => a.convolve_with(b, params),
+                    [odd] => odd.clone(),
+                    _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
+                })
+                .collect()
         }
 
         match parts {
@@ -422,25 +406,13 @@ impl DiscreteDistribution {
             _ => {
                 // The first level borrows `parts` directly — no upfront
                 // clone of the whole input.
-                let mut level = reduce_level(parts, params, parallelism);
+                let mut level = reduce_level(parts, params);
                 while level.len() > 1 {
-                    level = reduce_level(&level, params, parallelism);
+                    level = reduce_level(&level, params);
                 }
                 level.pop().expect("non-empty input leaves one root")
             }
         }
-    }
-
-    /// The quadratic left-fold reference implementation of
-    /// [`convolve_all`](Self::convolve_all) (kept for the equivalence
-    /// property tests and the convolution ablation bench).
-    #[must_use]
-    pub fn convolve_all_sequential(parts: &[Self], params: &ConvolutionParams) -> Self {
-        let mut acc = Self::zero();
-        for part in parts {
-            acc = acc.convolve_with(part, params);
-        }
-        acc
     }
 
     /// The full complementary cumulative distribution as a step function:
@@ -732,6 +704,19 @@ mod tests {
         assert!((last.1 - 1e-4).abs() < 1e-15);
     }
 
+    /// The quadratic left-fold reference of
+    /// [`DiscreteDistribution::convolve_all`].
+    fn left_fold(
+        parts: &[DiscreteDistribution],
+        params: &ConvolutionParams,
+    ) -> DiscreteDistribution {
+        let mut acc = DiscreteDistribution::zero();
+        for part in parts {
+            acc = acc.convolve_with(part, params);
+        }
+        acc
+    }
+
     #[test]
     fn tree_matches_left_fold_without_pruning() {
         let params = ConvolutionParams {
@@ -742,30 +727,12 @@ mod tests {
             .map(|s| dist(&[(0, 0.9), (3 * s, 0.06), (10 * s, 0.04)]))
             .collect();
         let tree = DiscreteDistribution::convolve_all(&parts, &params);
-        let fold = DiscreteDistribution::convolve_all_sequential(&parts, &params);
+        let fold = left_fold(&parts, &params);
         assert_eq!(tree.support_len(), fold.support_len());
         assert!((tree.total_mass() - fold.total_mass()).abs() < 1e-12);
         for (&(vt, pt), &(vf, pf)) in tree.points().iter().zip(fold.points()) {
             assert_eq!(vt, vf);
             assert!((pt - pf).abs() < 1e-12, "probability at {vt} diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_tree_is_bit_identical_to_sequential_tree() {
-        let parts: Vec<DiscreteDistribution> = (0..16u64)
-            .map(|s| dist(&[(0, 0.95), (10 + s, 0.04), (100 + 7 * s, 0.01)]))
-            .collect();
-        let params = ConvolutionParams::default();
-        let sequential =
-            DiscreteDistribution::convolve_all_parallel(&parts, &params, Parallelism::Sequential);
-        for threads in [2, 5, 16] {
-            let parallel = DiscreteDistribution::convolve_all_parallel(
-                &parts,
-                &params,
-                Parallelism::threads(threads),
-            );
-            assert_eq!(sequential, parallel, "{threads} threads diverged");
         }
     }
 
@@ -834,7 +801,7 @@ mod tests {
         let single = [dist(&[(5, 0.5), (9, 0.5)])];
         assert_eq!(
             DiscreteDistribution::convolve_all(&single, &params),
-            DiscreteDistribution::convolve_all_sequential(&single, &params)
+            left_fold(&single, &params)
         );
     }
 }

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::mem;
+use std::sync::OnceLock;
 
 use pwcet_mips::{Assembler, BinaryImage, Instruction, Reg};
 
@@ -96,6 +97,8 @@ pub struct CompiledProgram {
     functions: Vec<FunctionInfo>,
     loop_bounds: Vec<LoopBound>,
     trees: HashMap<String, StructureNode>,
+    /// [`content_digest`](Self::content_digest), computed on first use.
+    digest: OnceLock<u64>,
 }
 
 impl CompiledProgram {
@@ -150,6 +153,34 @@ impl CompiledProgram {
     /// All structure trees, keyed by function name.
     pub fn trees(&self) -> &HashMap<String, StructureNode> {
         &self.trees
+    }
+
+    /// A 64-bit FNV-1a digest of everything the CFG expander reads: the
+    /// image base and words, each function's name (length-prefixed),
+    /// entry and end, and each loop bound's header and bound, every
+    /// integer as little-endian `u32` bytes. Computed once per compiled
+    /// program and kept, so content keys that continue this hash with
+    /// their own fields (`ContextCache::key_of` in `pwcet-core`) read the
+    /// image once, however often they are asked for.
+    pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut hash = Fnv1a::default();
+            hash.write_u32(self.image.base());
+            for &word in self.image.words() {
+                hash.write_u32(word);
+            }
+            for function in &self.functions {
+                hash.write_u32(function.name.len() as u32);
+                hash.write(function.name.as_bytes());
+                hash.write_u32(function.entry);
+                hash.write_u32(function.end);
+            }
+            for bound in &self.loop_bounds {
+                hash.write_u32(bound.header);
+                hash.write_u32(bound.bound);
+            }
+            hash.0
+        })
     }
 
     /// Upper bound on instruction fetches of a whole program run (tree
@@ -275,7 +306,29 @@ pub(crate) fn compile(program: &Program, base: u32) -> Result<CompiledProgram, P
         functions,
         loop_bounds: bounds,
         trees,
+        digest: OnceLock::new(),
     })
+}
+
+/// 64-bit FNV-1a, the hash behind [`CompiledProgram::content_digest`].
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write(&value.to_le_bytes());
+    }
 }
 
 fn fn_label(name: &str) -> String {

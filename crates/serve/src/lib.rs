@@ -55,12 +55,14 @@
 //! ```
 
 pub mod client;
+mod compile_memo;
 pub mod peer;
 pub mod protocol;
 pub mod server;
 pub mod shard;
 
 pub use client::{Client, ClientConfig, FleetClient, RetryPolicy, RetryStats};
+pub use compile_memo::COMPILE_MEMO_CAPACITY;
 pub use peer::{FleetConfig, FleetStats, PeerFleet, PeerRing};
 pub use protocol::{
     AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response, ServedFrom,

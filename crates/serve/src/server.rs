@@ -57,6 +57,7 @@ use pwcet_obs::{
 };
 use pwcet_progen::{CompiledProgram, Program};
 
+use crate::compile_memo::CompileMemo;
 use crate::peer::{FleetConfig, PeerFleet};
 use crate::protocol::{
     self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response,
@@ -148,17 +149,17 @@ impl ServerConfig {
 /// What the shard workers execute.
 enum Work {
     Analyze {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         pfail: f64,
         target_p: f64,
     },
     SweepPfail {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         pfails: Vec<f64>,
         target_p: f64,
     },
     SweepGeometry {
-        compiled: CompiledProgram,
+        compiled: Arc<CompiledProgram>,
         lattice: GeometryLattice,
         target_p: f64,
     },
@@ -403,6 +404,9 @@ struct Shared {
     deadline: Duration,
     fleet: Option<Arc<PeerFleet>>,
     telemetry: Arc<Telemetry>,
+    /// Request programs compiled once per distinct program (connection
+    /// threads look up here before routing).
+    compiled: CompileMemo,
 }
 
 impl Shared {
@@ -489,6 +493,9 @@ impl Shared {
             self.telemetry.tracer.dropped(),
         );
         for (name, value) in self.telemetry.registry.snapshot().table() {
+            table.insert(name, value);
+        }
+        for (name, value) in self.engine.plane.metrics().snapshot().table() {
             table.insert(name, value);
         }
         // Fleet transport counters under a `fleet_` prefix — the legacy
@@ -637,6 +644,7 @@ impl Server {
             _ => None,
         };
 
+        let compiled = CompileMemo::new(config.analysis.code_base, &telemetry.registry);
         let shared = Arc::new(Shared {
             pool,
             engine,
@@ -648,6 +656,7 @@ impl Server {
             deadline: config.frame_deadline,
             fleet,
             telemetry,
+            compiled,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -1003,10 +1012,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Compiles a submitted program, mapping failures to an invalid-request
-/// response.
-fn compile(program: &Program, config: &AnalysisConfig) -> Result<CompiledProgram, Box<Response>> {
-    program.compile(config.code_base).map_err(|e| {
+/// Compiles a submitted program (or finds it already compiled), mapping
+/// failures to an invalid-request response.
+fn compile(shared: &Shared, program: &Program) -> Result<Arc<CompiledProgram>, Box<Response>> {
+    shared.compiled.get_or_compile(program).map_err(|e| {
         Box::new(error_response(
             ErrorCode::InvalidRequest,
             format!("program {:?} does not build: {e}", program.name()),
@@ -1203,7 +1212,7 @@ fn prepare_analyze(
     validate_pfail(pfail)?;
     validate_probability(target_p, "target_p")?;
     let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
+    let compiled = compile(shared, program)?;
     let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
     Ok((
         key,
@@ -1235,7 +1244,7 @@ fn prepare_pfail_sweep(
     }
     validate_probability(target_p, "target_p")?;
     let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
+    let compiled = compile(shared, program)?;
     let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
     Ok((
         key,
@@ -1287,7 +1296,7 @@ fn prepare_geometry_sweep(
     }
     let lattice = GeometryLattice::new(sets, block_bytes, way_counts);
     let config = &shared.engine.config;
-    let compiled = compile(program, config)?;
+    let compiled = compile(shared, program)?;
     // Route by the widest requested geometry, so every request over one
     // program-and-lattice family serializes onto one shard.
     let key = ContextCache::key_of(&compiled, lattice.widest(), config.classification);

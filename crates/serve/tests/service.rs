@@ -483,3 +483,128 @@ fn stats_expose_tier_hit_counts() {
     assert!(after.connections >= 1);
     server.shutdown();
 }
+
+fn metric(client: &mut Client, name: &str) -> u64 {
+    client
+        .metrics()
+        .expect("metrics scrape")
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("metrics table lacks {name}"))
+        .1
+}
+
+/// The row a server must answer for `program`, computed in-process.
+fn direct_row(program: &Program) -> (String, u64, u64, u64, u64) {
+    let analysis = PwcetAnalyzer::new(AnalysisConfig::paper_default())
+        .analyze(program)
+        .expect("direct analysis");
+    (
+        program.name().to_string(),
+        analysis.fault_free_wcet(),
+        analysis.estimate(Protection::None).pwcet_at(1e-15),
+        analysis
+            .estimate(Protection::SharedReliableBuffer)
+            .pwcet_at(1e-15),
+        analysis.estimate(Protection::ReliableWay).pwcet_at(1e-15),
+    )
+}
+
+fn served_row(row: &AnalysisRow) -> (String, u64, u64, u64, u64) {
+    (
+        row.name.clone(),
+        row.fault_free_wcet,
+        row.pwcet_none,
+        row.pwcet_srb,
+        row.pwcet_rw,
+    )
+}
+
+#[test]
+fn same_name_different_bodies_are_compiled_apart() {
+    let server = server_with(2, 16);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let small = Program::new("twin").with_function("main", stmt::loop_(10, stmt::compute(8)));
+    let large = Program::new("twin").with_function(
+        "main",
+        stmt::loop_(
+            40,
+            stmt::seq([stmt::compute(300), stmt::loop_(4, stmt::compute(90))]),
+        ),
+    );
+    let expected = [direct_row(&small), direct_row(&large)];
+    assert_ne!(expected[0], expected[1], "the bodies must analyze apart");
+    for round in 0..2 {
+        for (program, expected) in [&small, &large].into_iter().zip(&expected) {
+            let (row, _) = analyze(&mut client, program.clone());
+            assert_eq!(&served_row(&row), expected, "round {round}");
+        }
+    }
+    assert_eq!(metric(&mut client, "compile_memo_misses"), 2);
+    assert_eq!(metric(&mut client, "compile_memo_hits"), 2);
+    assert_eq!(metric(&mut client, "compile_memo_entries"), 2);
+    // The repeats were memory-tier hits whose three estimates came from
+    // the estimate memo.
+    assert_eq!(metric(&mut client, "estimate_memo_misses"), 6);
+    assert_eq!(metric(&mut client, "estimate_memo_hits"), 6);
+    server.shutdown();
+}
+
+#[test]
+fn same_body_under_two_names_reports_each_callers_name() {
+    let server = server_with(2, 16);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let body = stmt::loop_(
+        12,
+        stmt::seq([stmt::compute(40), stmt::loop_(3, stmt::compute(20))]),
+    );
+    let alpha = Program::new("alpha").with_function("main", body.clone());
+    let beta = Program::new("beta").with_function("main", body);
+    let (_, wcet, none, srb, rw) = direct_row(&alpha);
+    for round in 0..2 {
+        for program in [&alpha, &beta] {
+            let (row, _) = analyze(&mut client, program.clone());
+            assert_eq!(
+                served_row(&row),
+                (program.name().to_string(), wcet, none, srb, rw),
+                "round {round}"
+            );
+        }
+    }
+    assert_eq!(metric(&mut client, "compile_memo_hits"), 2);
+    server.shutdown();
+}
+
+#[test]
+fn streaming_more_programs_than_the_cap_keeps_the_compile_memo_bounded() {
+    let server = server_with(2, 16);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let programs: Vec<Program> = (0..pwcet_serve::COMPILE_MEMO_CAPACITY as u32 + 8)
+        .map(|i| {
+            Program::new(format!("stream{i}"))
+                .with_function("main", stmt::loop_(2 + i % 7, stmt::compute(5 + i)))
+        })
+        .collect();
+    // Two passes: the second re-requests programs the first pass evicted.
+    for pass in 0..2 {
+        for program in &programs {
+            let (row, _) = analyze(&mut client, program.clone());
+            assert_eq!(served_row(&row), direct_row(program), "pass {pass}");
+            assert!(
+                metric(&mut client, "compile_memo_entries")
+                    <= pwcet_serve::COMPILE_MEMO_CAPACITY as u64
+            );
+        }
+    }
+    assert_eq!(
+        metric(&mut client, "compile_memo_entries"),
+        pwcet_serve::COMPILE_MEMO_CAPACITY as u64
+    );
+    // FIFO over a cyclic stream longer than the cap never hits.
+    assert_eq!(metric(&mut client, "compile_memo_hits"), 0);
+    assert_eq!(
+        metric(&mut client, "compile_memo_misses"),
+        2 * programs.len() as u64
+    );
+    server.shutdown();
+}
