@@ -548,17 +548,6 @@ impl KernelStats {
             sets_skipped: self.sets_skipped.saturating_sub(earlier.sets_skipped),
         }
     }
-
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("passes", self.passes),
-            ("words_touched", self.words_touched),
-            ("sets_skipped", self.sets_skipped),
-        ]
-    }
 }
 
 /// Thread-safe accumulator of [`KernelStats`] (plain relaxed counters —

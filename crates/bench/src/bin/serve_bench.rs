@@ -74,10 +74,19 @@ fn mean(values: &[u64]) -> f64 {
     values.iter().sum::<u64>() as f64 / values.len().max(1) as f64
 }
 
+/// One row of a metrics table, by name.
+fn table_value(table: &[(String, u64)], name: &str) -> u64 {
+    table
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("metrics table is missing {name}"))
+}
+
 fn main() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
-    let shards = server.stats().shards;
+    let shards = table_value(&server.metrics_table(), "shards");
 
     // Cold pass: every program pays its fixpoints and ILPs.
     let mut client = Client::connect(addr).expect("connect");
@@ -152,10 +161,14 @@ fn main() {
         })
         .collect();
     drop(fleet_client);
-    let fleet_stats = fleet_node.shutdown();
-    assert_eq!(fleet_stats.network_hits as usize, PROGRAMS.len());
+    let fleet_table = fleet_node.shutdown();
     assert_eq!(
-        fleet_stats.cold_builds, 0,
+        table_value(&fleet_table, "network_hits") as usize,
+        PROGRAMS.len()
+    );
+    assert_eq!(
+        table_value(&fleet_table, "cold_builds"),
+        0,
         "the fleet node must not recompute"
     );
     let fleet_us = mean(&fleet);
@@ -166,21 +179,14 @@ fn main() {
     // vs. service-time split (client latencies above include the wire).
     let mut metrics_client = Client::connect(addr).expect("connect for metrics");
     let metrics = metrics_client.metrics().expect("metrics");
-    let metric = |name: &str| -> u64 {
-        metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("metrics table is missing {name}"))
-    };
-    let service_p50 = metric("service_us_p50");
-    let service_p99 = metric("service_us_p99");
-    let queue_wait_p99 = metric("queue_wait_us_p99");
+    let service_p50 = table_value(&metrics, "service_us_p50");
+    let service_p99 = table_value(&metrics, "service_us_p99");
+    let queue_wait_p99 = table_value(&metrics, "queue_wait_us_p99");
     drop(metrics_client);
 
-    let stats = server.shutdown();
+    let table = server.shutdown();
     assert_eq!(
-        stats.served as usize,
+        table_value(&table, "served") as usize,
         // The metrics scrape is not an analysis request, so it does not
         // move the served counter.
         PROGRAMS.len() * (1 + WARM_PASSES) + 2 * total_requests,

@@ -24,8 +24,10 @@ use std::sync::{Arc, OnceLock};
 /// The golden-ratio increment of the splitmix64 stream.
 pub const SPLITMIX64_INCREMENT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Finalize one splitmix64 output from a raw state word.
-fn splitmix64(state: u64) -> u64 {
+/// Finalize one splitmix64 output from a raw state word: fed `seed + k
+/// × SPLITMIX64_INCREMENT` for `k = 0, 1, …` it yields the standard
+/// splitmix64 stream of `seed`.
+pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(SPLITMIX64_INCREMENT);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -4,16 +4,9 @@
 //! [`AnalysisContext`](crate::AnalysisContext) — the classified CHMC
 //! levels, the converged full-associativity Must/May states, the SRB map,
 //! and the memoized solve products — is written with explicit
-//! little-endian fields behind a fixed header:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  "PWCX"
-//! 4       4     format version (u32, currently 2)
-//! 8       8     payload length in bytes (u64)
-//! 16      8     FNV-1a checksum of the payload (u64)
-//! 24      …     payload
-//! ```
+//! little-endian fields behind the 24-byte header of [`crate::bytes`]
+//! (magic `"PWCX"`, format [`VERSION`], payload length, FNV-1a
+//! checksum).
 //!
 //! Decoding is **paranoid by construction**: every length is bounds-checked
 //! against the remaining bytes before any allocation, every enum tag is
@@ -42,32 +35,30 @@ use pwcet_cache::{CacheGeometry, CacheTiming};
 use pwcet_cfg::ExpandedCfg;
 use pwcet_ipet::{BasisSnapshot, IpetOptions, SolverBackend};
 
+use crate::bytes::{Dec, DecodeError, Enc, Format};
 use crate::context::ContextParts;
 use crate::fmm::FaultMissMap;
 use crate::pipeline::SolveArtifacts;
 
-/// File magic: "PWCX" (pWCET context).
-pub(crate) const MAGIC: [u8; 4] = *b"PWCX";
-/// Current on-disk format version. Bump on any layout change; files
-/// older than [`MIN_VERSION`] decode to
-/// [`CodecError::UnsupportedVersion`] and are rebuilt cold.
+/// The `PWCX` entry layout: magic "PWCX" (pWCET context), format
+/// [`VERSION`] only. An entry of any other version is a
+/// [`CodecError::UnsupportedVersion`]: the reuse plane counts it as a
+/// miss, rebuilds cold and rewrites it at the current version.
 ///
-/// History: 1 = set-based abstract states (one `u64` length plus one
-/// `u32` block id per occupied age-slot entry); 2 = bit-packed states
-/// serialized as raw slot words (`sets × assoc × lanes` `u64`s straight
-/// from the kernel representation — no per-block overhead, and decoding
-/// is a bounds-checked `memcpy` instead of `BTreeSet` rebuilds); 3 = v2
-/// plus a trailing solver-state section (one compact factored-basis
-/// snapshot per solved `IpetOptions` — basic-variable index set and
-/// nonbasic bound statuses; the `m × m` inverse is refactored on load,
-/// never shipped).
+/// Version 3 stores bit-packed abstract states as raw slot words
+/// (`sets × assoc × lanes` `u64`s straight from the kernel
+/// representation) and ends with a solver-state section: one compact
+/// factored-basis snapshot per solved `IpetOptions` (basic-variable
+/// index set and nonbasic bound statuses; the `m × m` inverse is
+/// refactored on load, never shipped).
+pub(crate) const ENTRY: Format = Format {
+    magic: *b"PWCX",
+    version: VERSION,
+    min_version: VERSION,
+    max_payload: u64::MAX,
+};
+/// The on-disk format version. Bump on any layout change.
 pub(crate) const VERSION: u32 = 3;
-/// Oldest version this build still decodes. v2 entries simply lack the
-/// solver-state section: they restore as valid contexts whose first
-/// solve pays one counted cold factorization.
-pub(crate) const MIN_VERSION: u32 = 2;
-/// Header bytes before the payload.
-pub(crate) const HEADER_LEN: usize = 24;
 
 /// Why a stored entry could not be decoded. All variants are recoverable:
 /// the caller rebuilds the context cold.
@@ -98,6 +89,21 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => CodecError::Truncated,
+            DecodeError::BadMagic => CodecError::BadMagic,
+            DecodeError::UnsupportedVersion(v) => CodecError::UnsupportedVersion(v),
+            // `ENTRY` accepts any length, so a sealed entry is never
+            // oversized.
+            DecodeError::Oversized(_) => CodecError::Malformed("oversized payload"),
+            DecodeError::ChecksumMismatch => CodecError::ChecksumMismatch,
+            DecodeError::Malformed(what) => CodecError::Malformed(what),
+        }
+    }
+}
 
 /// Minimal 64-bit FNV-1a — deterministic across platforms and processes,
 /// unlike `DefaultHasher`, which randomizes per process. Used both for
@@ -139,9 +145,8 @@ impl Fnv1a {
     }
 }
 
-/// One-shot 64-bit FNV-1a of a raw buffer — the exact payload checksum
-/// of the `PWCX` disk-tier entries, exported so sibling wire codecs
-/// (e.g. the `PWCQ` service protocol) cannot drift from it.
+/// One-shot 64-bit FNV-1a of a raw buffer — the payload checksum of
+/// the [`crate::bytes`] header both binary formats share.
 pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
     Fnv1a::checksum(bytes)
 }
@@ -159,27 +164,7 @@ pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
 /// The same header-level [`CodecError`]s `decode_context` would raise,
 /// plus a key mismatch for an entry stored under the wrong fingerprint.
 pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 || payload.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    if Fnv1a::checksum(payload) != checksum {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    let key = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    if key != expected_key {
+    if Dec::new(ENTRY.open(bytes)?).u64()? != expected_key {
         return Err(CodecError::Malformed("content key mismatch"));
     }
     Ok(())
@@ -188,43 +173,6 @@ pub(crate) fn validate_entry(bytes: &[u8], expected_key: u64) -> Result<(), Code
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt<T>(&mut self, value: Option<T>, mut write: impl FnMut(&mut Self, T)) {
-        match value {
-            Some(v) => {
-                self.u8(1);
-                write(self, v);
-            }
-            None => self.u8(0),
-        }
-    }
-}
 
 fn encode_chmc(enc: &mut Enc, map: &ChmcMap) {
     enc.u64(map.len() as u64);
@@ -306,8 +254,7 @@ fn encode_artifacts(enc: &mut Enc, artifacts: &SolveArtifacts) {
 }
 
 /// Flags byte of one [`IpetOptions`]: bit 0 = integral, bit 1 =
-/// dense-reference solver. Pre-solver-switch entries carry 0/1 and
-/// decode unchanged.
+/// dense-reference solver.
 fn ipet_flags(ipet: &IpetOptions) -> u8 {
     u8::from(ipet.require_integral)
         | (u8::from(matches!(ipet.solver, SolverBackend::DenseReference)) << 1)
@@ -333,8 +280,7 @@ fn ipet_of_flags(flags: u8) -> Result<IpetOptions, CodecError> {
 fn encode_basis(enc: &mut Enc, snapshot: &BasisSnapshot) {
     enc.u32(snapshot.n_struct);
     enc.u32(snapshot.m);
-    enc.u64(snapshot.statuses.len() as u64);
-    enc.buf.extend_from_slice(&snapshot.statuses);
+    enc.bytes(&snapshot.statuses);
     enc.u64(snapshot.basis.len() as u64);
     for &entry in &snapshot.basis {
         enc.u32(entry);
@@ -343,30 +289,6 @@ fn encode_basis(enc: &mut Enc, snapshot: &BasisSnapshot) {
 
 /// Serializes one context entry (header + payload) for the disk tier.
 pub(crate) fn encode_context(
-    key: u64,
-    name: &str,
-    geometry: CacheGeometry,
-    mode: ClassificationMode,
-    parts: &ContextParts,
-) -> Vec<u8> {
-    encode_context_at(VERSION, key, name, geometry, mode, parts)
-}
-
-/// As [`encode_context`] at the previous format version — genuine v2
-/// bytes (no solver-state section) for the back-compat suite.
-#[cfg(test)]
-pub(crate) fn encode_context_v2(
-    key: u64,
-    name: &str,
-    geometry: CacheGeometry,
-    mode: ClassificationMode,
-    parts: &ContextParts,
-) -> Vec<u8> {
-    encode_context_at(2, key, name, geometry, mode, parts)
-}
-
-fn encode_context_at(
-    version: u32,
     key: u64,
     name: &str,
     geometry: CacheGeometry,
@@ -393,22 +315,12 @@ fn encode_context_at(
         enc.u8(ipet_flags(ipet));
         encode_artifacts(&mut enc, artifacts);
     }
-    if version >= 3 {
-        enc.u64(parts.bases.len() as u64);
-        for (ipet, snapshot) in &parts.bases {
-            enc.u8(ipet_flags(ipet));
-            encode_basis(&mut enc, snapshot);
-        }
+    enc.u64(parts.bases.len() as u64);
+    for (ipet, snapshot) in &parts.bases {
+        enc.u8(ipet_flags(ipet));
+        encode_basis(&mut enc, snapshot);
     }
-
-    let payload = enc.buf;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&Fnv1a::checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    ENTRY.seal(&enc.into_bytes())
 }
 
 fn mode_tag(mode: ClassificationMode) -> u8 {
@@ -421,62 +333,6 @@ fn mode_tag(mode: ClassificationMode) -> u8 {
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a sequence length and guards it against allocation bombs:
-    /// each element occupies at least `min_elem_bytes`, so a length the
-    /// remaining bytes cannot possibly hold is corruption, not data.
-    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| CodecError::Truncated)?;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn present(&mut self) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Malformed("presence flag")),
-        }
-    }
-}
 
 /// Per-node reference counts of the live CFG — the shape every decoded
 /// per-reference table must match.
@@ -706,33 +562,11 @@ pub(crate) fn decode_context(
     geometry: CacheGeometry,
     mode: ClassificationMode,
 ) -> Result<(String, ContextParts), CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload = &bytes[HEADER_LEN..];
-    if payload_len != payload.len() as u64 {
-        return Err(CodecError::Truncated);
-    }
-    if Fnv1a::checksum(payload) != checksum {
-        return Err(CodecError::ChecksumMismatch);
-    }
-
-    let mut dec = Dec::new(payload);
+    let mut dec = Dec::new(ENTRY.open(bytes)?);
     if dec.u64()? != key {
         return Err(CodecError::Malformed("content key mismatch"));
     }
-    let name_len = dec.seq_len(1)?;
-    let name = String::from_utf8(dec.take(name_len)?.to_vec())
-        .map_err(|_| CodecError::Malformed("program name"))?;
+    let name = dec.str()?;
     let (sets, ways, block_bytes) = (dec.u32()?, dec.u32()?, dec.u32()?);
     if (sets, ways, block_bytes) != (geometry.sets(), geometry.ways(), geometry.block_bytes()) {
         return Err(CodecError::Malformed("geometry mismatch"));
@@ -775,22 +609,13 @@ pub(crate) fn decode_context(
         let artifacts = decode_artifacts(&mut dec, geometry)?;
         solved.push(((timing, ipet), artifacts));
     }
-    let bases = if version >= 3 {
-        let basis_count = dec.seq_len(9)?;
-        let mut bases = Vec::with_capacity(basis_count);
-        for _ in 0..basis_count {
-            let ipet = ipet_of_flags(dec.u8()?)?;
-            bases.push((ipet, decode_basis(&mut dec)?));
-        }
-        bases
-    } else {
-        // v2: no solver-state section. The entry restores as a valid
-        // context whose first solve pays one counted cold factorization.
-        Vec::new()
-    };
-    if dec.remaining() != 0 {
-        return Err(CodecError::Malformed("trailing bytes"));
+    let basis_count = dec.seq_len(9)?;
+    let mut bases = Vec::with_capacity(basis_count);
+    for _ in 0..basis_count {
+        let ipet = ipet_of_flags(dec.u8()?)?;
+        bases.push((ipet, decode_basis(&mut dec)?));
     }
+    dec.finish()?;
     Ok((
         name,
         ContextParts {
@@ -814,11 +639,12 @@ pub(crate) fn decode_context(
 fn decode_basis(dec: &mut Dec<'_>) -> Result<BasisSnapshot, CodecError> {
     let n_struct = dec.u32()?;
     let m = dec.u32()?;
-    let statuses_len = dec.seq_len(1)?;
+    let statuses = dec.bytes()?;
+    let statuses_len = statuses.len();
     if statuses_len != (n_struct as usize) + (m as usize) {
         return Err(CodecError::Malformed("basis status count"));
     }
-    let statuses = dec.take(statuses_len)?.to_vec();
+    let statuses = statuses.to_vec();
     if statuses.iter().any(|&tag| tag > 2) {
         return Err(CodecError::Malformed("basis status tag"));
     }
@@ -845,6 +671,7 @@ fn decode_basis(dec: &mut Dec<'_>) -> Result<BasisSnapshot, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::HEADER_LEN;
     use crate::context::AnalysisContext;
     use crate::context_cache::ContextCache;
     use pwcet_par::Parallelism;
@@ -965,27 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_entries_decode_as_valid_with_no_bases() {
-        let (key, geometry, mode, context) = solved_entry();
-        let bytes = encode_context_v2(key, "codec", geometry, mode, &context.snapshot_parts());
-        let (name, parts) = decode_context(&bytes, context.cfg(), key, geometry, mode).unwrap();
-        assert_eq!(name, "codec");
-        assert!(
-            parts.bases.is_empty(),
-            "a v2 entry restores warm artifacts but pays a cold factorization"
-        );
-        let restored = AnalysisContext::from_parts(
-            name,
-            context.shared_cfg(),
-            geometry,
-            mode,
-            context.backend(),
-            parts,
-        );
-        assert_identical(&context, &restored);
-    }
-
-    #[test]
     fn malformed_basis_sections_are_rejected() {
         let (key, geometry, mode, context) = solved_entry();
         let parts = context.snapshot_parts();
@@ -1099,5 +905,91 @@ mod tests {
             decode_context(&bytes, other_ctx.cfg(), key, geometry, mode),
             Err(CodecError::Malformed(_) | CodecError::Truncated)
         ));
+    }
+
+    /// The largest decode allocation per input byte the fuzzer allows,
+    /// derived from the decoder's `seq_len` call sites: a site admits
+    /// `n` elements only when `n × min_elem_bytes` bytes remain, and
+    /// then allocates `n × size_of::<T>()`, so no allocation exceeds
+    /// the largest `size_of::<T>() / min_elem_bytes` over the sites
+    /// per input byte. The largest is the per-node state list,
+    /// `Vec<Option<PackedAcs>>`: 48 bytes per element under a 1-byte
+    /// minimum (every ratio is checked below). The allocations sized by
+    /// the live CFG instead (block interner, reference shape) stay far
+    /// below it for the corpus program.
+    const ENTRY_ALLOC_PER_BYTE: usize = 48;
+
+    fn fuzz_entries(seeds: std::ops::Range<u64>, mutants: usize) {
+        use std::mem::size_of;
+        for (elem, min) in [
+            (size_of::<Option<PackedAcs>>(), 1),
+            (size_of::<Chmc>(), 1),
+            (size_of::<Option<ChmcMap>>(), 1),
+            (size_of::<Vec<Chmc>>(), 8),
+            (
+                size_of::<((CacheTiming, IpetOptions), SolveArtifacts)>(),
+                17,
+            ),
+            (size_of::<(IpetOptions, BasisSnapshot)>(), 9),
+        ] {
+            assert!(elem / min <= ENTRY_ALLOC_PER_BYTE, "{elem}/{min}");
+        }
+        // One context at three richness levels: built, classified, and
+        // solved (with a factored basis).
+        let compiled = Program::new("codec")
+            .with_function("main", stmt::loop_(25, stmt::compute(30)))
+            .compile(0x0040_0000)
+            .unwrap();
+        let (geometry, mode) = (
+            CacheGeometry::paper_default(),
+            ClassificationMode::Incremental,
+        );
+        let key = ContextCache::key_of(&compiled, geometry, mode);
+        let context = AnalysisContext::build_with_mode(&compiled, geometry, mode).unwrap();
+        let mut corpus = Vec::new();
+        let mut snapshot = |context: &AnalysisContext| {
+            let bytes = encode_context(key, "codec", geometry, mode, &context.snapshot_parts());
+            corpus.push(bytes[HEADER_LEN..].to_vec());
+        };
+        snapshot(&context);
+        context.prewarm(Parallelism::Sequential);
+        snapshot(&context);
+        let template = context.ipet_template(IpetOptions::default());
+        template
+            .bound(&pwcet_ipet::CostModel::uniform(context.cfg(), 2))
+            .unwrap();
+        snapshot(&context);
+
+        let cfg = context.cfg();
+        let mut decoded = 0;
+        for seed in seeds {
+            let outcome = crate::fuzz::fuzz(
+                seed,
+                mutants,
+                &corpus,
+                ENTRY_ALLOC_PER_BYTE,
+                |payload| ENTRY.seal(payload),
+                |bytes| decode_context(bytes, cfg, key, geometry, mode),
+                |(name, parts)| encode_context(key, name, geometry, mode, parts),
+            );
+            assert_eq!(outcome.mutants, mutants);
+            decoded += outcome.decoded;
+        }
+        assert!(
+            decoded > 0,
+            "some mutants must decode: resealing reaches the payload"
+        );
+    }
+
+    #[test]
+    fn mutated_entries_never_panic_overallocate_or_decode_non_canonically() {
+        fuzz_entries(0..4, 4000);
+    }
+
+    /// The deep variant, run by the nightly `--include-ignored` job.
+    #[test]
+    #[ignore]
+    fn mutated_entries_deep() {
+        fuzz_entries(0..64, 5_000);
     }
 }

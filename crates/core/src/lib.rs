@@ -61,6 +61,7 @@
 //! # }
 //! ```
 
+pub mod bytes;
 mod codec;
 mod config;
 mod context;
@@ -68,6 +69,9 @@ mod context_cache;
 mod error;
 mod estimate;
 mod fmm;
+#[cfg(test)]
+#[path = "../tests/common/fuzz.rs"]
+mod fuzz;
 mod penalty_memo;
 mod pipeline;
 mod reuse_plane;

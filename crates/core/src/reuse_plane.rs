@@ -49,12 +49,12 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pwcet_analysis::{ClassificationMode, ClassifierBackend, KernelStats, KernelStatsCell};
+use pwcet_analysis::{ClassificationMode, ClassifierBackend, KernelStats};
 use pwcet_cache::CacheGeometry;
 use pwcet_cfg::CfgError;
-use pwcet_ilp::{SolveStats, SolveStatsCell};
+use pwcet_ilp::SolveStats;
 use pwcet_ipet::TemplateRegistry;
-use pwcet_obs::Registry;
+use pwcet_obs::{Counter, Registry};
 use pwcet_progen::CompiledProgram;
 
 use crate::codec::{decode_context, encode_context, validate_entry};
@@ -184,35 +184,6 @@ pub struct ReusePlaneStats {
 }
 
 impl ReusePlaneStats {
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim, memory-tier counters under a `memory_` prefix). This
-    /// is what telemetry exposition serializes, so a new counter added
-    /// here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("memory_hits", self.memory.hits),
-            ("memory_misses", self.memory.misses),
-            ("memory_evictions", self.memory.evictions),
-            ("memory_len", self.memory.len as u64),
-            ("memory_capacity", self.memory.capacity as u64),
-            ("disk_hits", self.disk_hits),
-            ("disk_misses", self.disk_misses),
-            ("disk_writes", self.disk_writes),
-            ("disk_corrupt", self.disk_corrupt),
-            ("disk_gc_evictions", self.disk_gc_evictions),
-            ("derived", self.derived),
-            ("network_hits", self.network_hits),
-            ("network_misses", self.network_misses),
-            ("network_corrupt", self.network_corrupt),
-            ("network_offers", self.network_offers),
-            ("cold_builds", self.cold_builds),
-            ("template_hits", self.template_hits),
-            ("basis_restores", self.basis_restores),
-            ("basis_rejects", self.basis_rejects),
-            ("objective_hits", self.objective_hits),
-        ]
-    }
-
     /// Fraction of non-memory-tier builds avoided by the disk,
     /// derivation, and network tiers (0 when nothing was requested).
     pub fn reuse_rate(&self) -> f64 {
@@ -225,20 +196,49 @@ impl ReusePlaneStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    disk_hits: u64,
-    disk_misses: u64,
-    disk_writes: u64,
-    disk_corrupt: u64,
-    disk_gc_evictions: u64,
-    derived: u64,
-    network_hits: u64,
-    network_misses: u64,
-    network_corrupt: u64,
-    network_offers: u64,
-    cold_builds: u64,
+/// Declares [`PlaneCounters`]: one counter handle per field, registered
+/// once in the plane's registry under the field's name.
+macro_rules! plane_counters {
+    ($($name:ident),* $(,)?) => {
+        #[derive(Debug)]
+        struct PlaneCounters {
+            $($name: Arc<Counter>,)*
+        }
+
+        impl PlaneCounters {
+            fn register(registry: &Registry) -> Self {
+                Self {
+                    $($name: registry.counter(stringify!($name)),)*
+                }
+            }
+        }
+    };
 }
+
+plane_counters!(
+    disk_hits,
+    disk_misses,
+    disk_writes,
+    disk_corrupt,
+    disk_gc_evictions,
+    derived,
+    network_hits,
+    network_misses,
+    network_corrupt,
+    network_offers,
+    cold_builds,
+    ilp_pivots,
+    ilp_dual_pivots,
+    ilp_bound_flips,
+    ilp_bb_nodes,
+    ilp_warm_starts,
+    ilp_cold_starts,
+    ilp_cold_probes,
+    ilp_trivial_prunes,
+    classify_passes,
+    classify_words_touched,
+    classify_sets_skipped,
+);
 
 /// How much of a context a disk entry captures — used to decide whether a
 /// rewrite would add anything.
@@ -359,21 +359,16 @@ pub struct ReusePlane {
     /// Family fingerprint → way count → full key, for the derivation
     /// tier. Only records what passed through this plane.
     families: Mutex<HashMap<u64, BTreeMap<u32, u64>>>,
-    counters: Mutex<Counters>,
+    /// Tier traffic plus the solver and classification-kernel work of
+    /// every analysis run through this plane (recorded by the analyzer;
+    /// survives context eviction), all registered in `metrics`.
+    counters: PlaneCounters,
     /// The cross-geometry IPET template registry, attached to every
     /// context this plane hands out (whatever tier answered) so sibling
     /// geometries and restored entries share one factored basis pool.
     registry: Arc<TemplateRegistry>,
-    /// Solver counters of every solve stage run through this plane
-    /// (recorded by the analyzer; survives context eviction).
-    ilp: SolveStatsCell,
-    /// Classification-kernel counters of every fresh fixpoint run
-    /// through this plane (recorded by the analyzer alongside the
-    /// solver counters; survives context eviction).
-    kernel: KernelStatsCell,
-    /// Named instruments of the analyses run through this plane (the
-    /// estimate-memo hit/miss counters), scraped by a service's metrics
-    /// verb.
+    /// Every counter of the plane, by its metric name; scraped by a
+    /// service's metrics verb through [`metrics_table`](Self::metrics_table).
     metrics: Registry,
     estimate_memo: Arc<MemoCounters>,
 }
@@ -396,6 +391,7 @@ impl ReusePlane {
     /// entries and counters.
     pub fn with_memory(memory: Arc<ContextCache>) -> Self {
         let metrics = Registry::new();
+        let counters = PlaneCounters::register(&metrics);
         let estimate_memo = Arc::new(MemoCounters::register(&metrics));
         Self {
             memory,
@@ -404,20 +400,46 @@ impl ReusePlane {
             staged: Mutex::new(StagedEntries::default()),
             offered: Mutex::new(HashMap::new()),
             families: Mutex::new(HashMap::new()),
-            counters: Mutex::new(Counters::default()),
+            counters,
             registry: Arc::new(TemplateRegistry::new()),
-            ilp: SolveStatsCell::default(),
-            kernel: KernelStatsCell::default(),
             metrics,
             estimate_memo,
         }
     }
 
-    /// The plane's metrics registry: `estimate_memo_hits` and
-    /// `estimate_memo_misses` count the penalty-distribution lookups of
-    /// every analysis served through this plane.
+    /// The plane's metrics registry: the tier counters of
+    /// [`stats`](Self::stats) (`disk_hits`, `cold_builds`, …), the
+    /// solver and kernel counters (`ilp_*`, `classify_*`), and
+    /// `estimate_memo_hits` / `estimate_memo_misses`, which count the
+    /// penalty-distribution lookups of every analysis served through
+    /// this plane.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
+    }
+
+    /// The plane's metrics table: its registry, then the memory-tier
+    /// (`memory_*`) and template-registry counters, which live in
+    /// their own structures and are read at call time.
+    pub fn metrics_table(&self) -> Vec<(String, u64)> {
+        let memory = self.memory.stats();
+        let templates = self.registry.counters();
+        let mut table = self.metrics.snapshot().table();
+        table.extend(
+            [
+                ("memory_hits", memory.hits),
+                ("memory_misses", memory.misses),
+                ("memory_evictions", memory.evictions),
+                ("memory_len", memory.len as u64),
+                ("memory_capacity", memory.capacity as u64),
+                ("template_hits", templates.template_hits),
+                ("template_builds", templates.template_builds),
+                ("basis_restores", templates.basis_restores),
+                ("basis_rejects", templates.basis_rejects),
+                ("objective_hits", templates.objective_hits),
+            ]
+            .map(|(name, value)| (name.to_string(), value)),
+        );
+        table
     }
 
     pub(crate) fn estimate_memo_counters(&self) -> Arc<MemoCounters> {
@@ -445,7 +467,15 @@ impl ReusePlane {
     /// Adds one solve stage's solver counters to the plane's total (the
     /// analyzer calls this after every non-memoized solve stage).
     pub fn record_ilp_stats(&self, stats: &SolveStats) {
-        self.ilp.record(stats);
+        let c = &self.counters;
+        c.ilp_pivots.add(stats.pivots);
+        c.ilp_dual_pivots.add(stats.dual_pivots);
+        c.ilp_bound_flips.add(stats.bound_flips);
+        c.ilp_bb_nodes.add(stats.bb_nodes);
+        c.ilp_warm_starts.add(stats.warm_starts);
+        c.ilp_cold_starts.add(stats.cold_starts);
+        c.ilp_cold_probes.add(stats.cold_probes);
+        c.ilp_trivial_prunes.add(stats.trivial_prunes);
     }
 
     /// Cumulative solver counters (pivots, branch-and-bound nodes,
@@ -453,21 +483,26 @@ impl ReusePlane {
     /// plane. Unlike per-context counters these survive cache eviction,
     /// so a long-lived service reports totals, not residue.
     pub fn ilp_stats(&self) -> SolveStats {
-        self.ilp.snapshot()
+        let c = &self.counters;
+        SolveStats {
+            pivots: c.ilp_pivots.get(),
+            dual_pivots: c.ilp_dual_pivots.get(),
+            bound_flips: c.ilp_bound_flips.get(),
+            bb_nodes: c.ilp_bb_nodes.get(),
+            warm_starts: c.ilp_warm_starts.get(),
+            cold_starts: c.ilp_cold_starts.get(),
+            cold_probes: c.ilp_cold_probes.get(),
+            trivial_prunes: c.ilp_trivial_prunes.get(),
+        }
     }
 
     /// Adds one analysis's classification-kernel counters to the plane's
     /// total (the analyzer calls this after every fresh solve).
     pub fn record_kernel_stats(&self, stats: &KernelStats) {
-        self.kernel.record(stats);
-    }
-
-    /// Cumulative classification-kernel counters (worklist passes, slot
-    /// words touched, dirty-skipped sets) across every analysis served
-    /// through this plane. Like [`ilp_stats`](Self::ilp_stats) these
-    /// survive cache eviction.
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.snapshot()
+        let c = &self.counters;
+        c.classify_passes.add(stats.passes);
+        c.classify_words_touched.add(stats.words_touched);
+        c.classify_sets_skipped.add(stats.sets_skipped);
     }
 
     /// Total size in bytes of the on-disk store (`None` without a disk
@@ -558,20 +593,20 @@ impl ReusePlane {
     /// Aggregated counters over all tiers.
     pub fn stats(&self) -> ReusePlaneStats {
         let templates = self.registry.counters();
-        let counters = self.counters.lock().expect("reuse plane counters");
+        let c = &self.counters;
         ReusePlaneStats {
             memory: self.memory.stats(),
-            disk_hits: counters.disk_hits,
-            disk_misses: counters.disk_misses,
-            disk_writes: counters.disk_writes,
-            disk_corrupt: counters.disk_corrupt,
-            disk_gc_evictions: counters.disk_gc_evictions,
-            derived: counters.derived,
-            network_hits: counters.network_hits,
-            network_misses: counters.network_misses,
-            network_corrupt: counters.network_corrupt,
-            network_offers: counters.network_offers,
-            cold_builds: counters.cold_builds,
+            disk_hits: c.disk_hits.get(),
+            disk_misses: c.disk_misses.get(),
+            disk_writes: c.disk_writes.get(),
+            disk_corrupt: c.disk_corrupt.get(),
+            disk_gc_evictions: c.disk_gc_evictions.get(),
+            derived: c.derived.get(),
+            network_hits: c.network_hits.get(),
+            network_misses: c.network_misses.get(),
+            network_corrupt: c.network_corrupt.get(),
+            network_offers: c.network_offers.get(),
+            cold_builds: c.cold_builds.get(),
             template_hits: templates.template_hits,
             basis_restores: templates.basis_restores,
             basis_rejects: templates.basis_rejects,
@@ -627,10 +662,7 @@ impl ReusePlane {
                     None => {
                         let built =
                             Arc::new(AnalysisContext::build_with_mode(compiled, geometry, mode)?);
-                        self.counters
-                            .lock()
-                            .expect("reuse plane counters")
-                            .cold_builds += 1;
+                        self.counters.cold_builds.inc();
                         (built, ReuseTier::Cold)
                     }
                 },
@@ -716,7 +748,7 @@ impl ReusePlane {
             // registered; peek (uncounted) and fall through when gone.
             if let Some(wider) = self.memory.peek(wider_key) {
                 let derived = Arc::new(wider.derive_narrower(geometry));
-                self.counters.lock().expect("reuse plane counters").derived += 1;
+                self.counters.derived.inc();
                 return Some(derived);
             }
         }
@@ -785,10 +817,7 @@ impl ReusePlane {
             None => {
                 if self.disk.is_some() {
                     // Absent (or unreadable) entry: a plain disk miss.
-                    self.counters
-                        .lock()
-                        .expect("reuse plane counters")
-                        .disk_misses += 1;
+                    self.counters.disk_misses.inc();
                 }
                 let staged = self.staged.lock().expect("staged entries").remove(key)?;
                 (staged, ReuseTier::Network)
@@ -811,23 +840,17 @@ impl ReusePlane {
                     .lock()
                     .expect("offer index")
                     .insert(key, richness);
-                let mut counters = self.counters.lock().expect("reuse plane counters");
                 match tier {
-                    ReuseTier::Disk => counters.disk_hits += 1,
-                    _ => counters.network_hits += 1,
+                    ReuseTier::Disk => self.counters.disk_hits.inc(),
+                    _ => self.counters.network_hits.inc(),
                 }
-                drop(counters);
                 Some((context, tier))
             }
             Err(EntryDecodeFailure::Cfg) => {
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .disk_misses += 1;
+                self.counters.disk_misses.inc();
                 None
             }
             Err(EntryDecodeFailure::Corrupt(err)) => {
-                let mut counters = self.counters.lock().expect("reuse plane counters");
                 if tier == ReuseTier::Disk {
                     let disk = self.disk.as_ref().expect("disk bytes imply a disk tier");
                     let path = disk.entry_path(key);
@@ -836,14 +859,14 @@ impl ReusePlane {
                         path.display()
                     );
                     let _ = fs::remove_file(&path);
-                    counters.disk_corrupt += 1;
-                    counters.disk_misses += 1;
+                    self.counters.disk_corrupt.inc();
+                    self.counters.disk_misses.inc();
                 } else {
                     eprintln!(
                         "pwcet-core: discarding corrupt staged peer entry for key {key:016x} \
                          ({err}); rebuilding cold"
                     );
-                    counters.network_corrupt += 1;
+                    self.counters.network_corrupt.inc();
                 }
                 None
             }
@@ -869,10 +892,7 @@ impl ReusePlane {
             network.fetch(key)
         };
         let Some(bytes) = fetched else {
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_misses += 1;
+            self.counters.network_misses.inc();
             return None;
         };
         match self.decode_entry(compiled, &bytes, key, geometry, mode) {
@@ -885,17 +905,11 @@ impl ReusePlane {
                     .lock()
                     .expect("offer index")
                     .insert(key, richness);
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .network_hits += 1;
+                self.counters.network_hits.inc();
                 Some(context)
             }
             Err(EntryDecodeFailure::Cfg) => {
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .network_misses += 1;
+                self.counters.network_misses.inc();
                 None
             }
             Err(EntryDecodeFailure::Corrupt(err)) => {
@@ -903,9 +917,8 @@ impl ReusePlane {
                     "pwcet-core: discarding corrupt peer entry for key {key:016x} ({err}); \
                      rebuilding cold"
                 );
-                let mut counters = self.counters.lock().expect("reuse plane counters");
-                counters.network_corrupt += 1;
-                counters.network_misses += 1;
+                self.counters.network_corrupt.inc();
+                self.counters.network_misses.inc();
                 None
             }
         }
@@ -923,10 +936,7 @@ impl ReusePlane {
                         .lock()
                         .expect("disk tier index")
                         .insert(key, richness);
-                    self.counters
-                        .lock()
-                        .expect("reuse plane counters")
-                        .disk_writes += 1;
+                    self.counters.disk_writes.inc();
                     self.collect_garbage(disk, &path);
                 }
             }
@@ -978,10 +988,7 @@ impl ReusePlane {
     pub fn import_entry(&self, key: u64, bytes: Vec<u8>) -> bool {
         if let Err(err) = validate_entry(&bytes, key) {
             eprintln!("pwcet-core: refusing offered peer entry for key {key:016x} ({err})");
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_corrupt += 1;
+            self.counters.network_corrupt.inc();
             return false;
         }
         match self.disk.as_ref() {
@@ -992,10 +999,7 @@ impl ReusePlane {
                 }
                 match write_atomically(&path, &bytes) {
                     Ok(()) => {
-                        self.counters
-                            .lock()
-                            .expect("reuse plane counters")
-                            .disk_writes += 1;
+                        self.counters.disk_writes.inc();
                         self.collect_garbage(disk, &path);
                         true
                     }
@@ -1050,10 +1054,7 @@ impl ReusePlane {
                 .lock()
                 .expect("offer index")
                 .insert(key, richness);
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .network_offers += 1;
+            self.counters.network_offers.inc();
         }
         if !disk_wants {
             return false;
@@ -1066,9 +1067,7 @@ impl ReusePlane {
                     .lock()
                     .expect("disk tier index")
                     .insert(key, richness);
-                let mut counters = self.counters.lock().expect("reuse plane counters");
-                counters.disk_writes += 1;
-                drop(counters);
+                self.counters.disk_writes.inc();
                 self.collect_garbage(disk, &path);
                 true
             }
@@ -1077,10 +1076,7 @@ impl ReusePlane {
                     "pwcet-core: failed to persist context entry {} ({err})",
                     path.display()
                 );
-                self.counters
-                    .lock()
-                    .expect("reuse plane counters")
-                    .disk_corrupt += 1;
+                self.counters.disk_corrupt.inc();
                 false
             }
         }
@@ -1143,10 +1139,7 @@ impl ReusePlane {
         }
         drop(written);
         if evicted > 0 {
-            self.counters
-                .lock()
-                .expect("reuse plane counters")
-                .disk_gc_evictions += evicted;
+            self.counters.disk_gc_evictions.add(evicted);
         }
     }
 }

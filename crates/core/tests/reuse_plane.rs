@@ -158,6 +158,59 @@ fn garbage_file_falls_back_cold() {
     });
 }
 
+/// A version-2 entry — the layout before the solver-state section —
+/// is no longer decoded: it costs one counted miss and a cold rebuild
+/// with bit-identical bounds, and the rebuild rewrites the entry at
+/// the current version, which the next instance decodes.
+#[test]
+fn v2_entry_on_disk_is_a_counted_miss_and_is_rewritten_as_v3() {
+    use pwcet_core::bytes::{Format, HEADER_LEN};
+    use pwcet_core::{ContextCache, Parallelism};
+
+    let dir = scratch_dir("v2-entry");
+    let config = AnalysisConfig::paper_default();
+    let compiled = program().compile(config.code_base).unwrap();
+    // A classified but never solved context: its v3 entry ends with an
+    // empty solver-state section (a zero count), and stripping that
+    // section gives exactly the version-2 layout.
+    let plane = ReusePlane::in_memory().with_disk_tier(&dir).unwrap();
+    let context = plane
+        .get_or_build(&compiled, config.geometry, config.classification)
+        .unwrap();
+    context.prewarm(Parallelism::Sequential);
+    assert!(plane.persist(&compiled, &context));
+    let key = ContextCache::key_of(&compiled, config.geometry, config.classification);
+    let path = dir.join(format!("ctx-{key:016x}.pwctx"));
+    let v3 = fs::read(&path).unwrap();
+    assert_eq!(v3[4..8], 3u32.to_le_bytes());
+    let (payload, solver_state) = v3[HEADER_LEN..].split_at(v3.len() - HEADER_LEN - 8);
+    assert_eq!(solver_state, [0u8; 8], "no bases were solved");
+    let v2 = Format {
+        magic: *b"PWCX",
+        version: 2,
+        min_version: 2,
+        max_payload: u64::MAX,
+    };
+    fs::write(&path, v2.seal(payload)).unwrap();
+
+    let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    let rebuilt = analyzer(&fresh).analyze(&program()).unwrap();
+    let reference = PwcetAnalyzer::new(config).analyze(&program()).unwrap();
+    assert_same_results(&reference, &rebuilt);
+    let stats = fresh.stats();
+    assert_eq!(stats.disk_hits, 0, "a v2 entry must not hit");
+    assert_eq!(stats.disk_misses, 1, "the refusal is a counted miss");
+    assert_eq!(stats.cold_builds, 1, "rebuilt cold");
+
+    let rewritten = fs::read(&path).expect("the rebuild re-persists the entry");
+    assert_eq!(rewritten[4..8], 3u32.to_le_bytes(), "rewritten as v3");
+    let healed = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
+    let warm = analyzer(&healed).analyze(&program()).unwrap();
+    assert_same_results(&reference, &warm);
+    assert_eq!(healed.stats().disk_hits, 1, "the v3 rewrite decodes");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A timing model nothing else in this suite solves under: analyses
 /// using it miss the persisted solved-artifact memo and must actually
 /// run their ILPs (the pass that exercises restored solver state).
@@ -198,56 +251,6 @@ fn restart_restores_factored_bases_warm() {
         ilp.cold_starts, 0,
         "every solve starts from the restored factored basis"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn downgraded_v2_entry_decodes_valid_without_bases() {
-    // A dense-reference analysis persists no solver state, so its v3
-    // entry is exactly a v2 entry plus an empty (all-zero, 8-byte) basis
-    // section. Downgrading the file in place — drop the trailing count,
-    // stamp version 2, fix the length and checksum — must decode as a
-    // first-class hit: pre-solver-state stores survive the upgrade.
-    let dir = scratch_dir("v2-downgrade");
-    let mut dense = AnalysisConfig::paper_default();
-    dense.ipet.solver = pwcet_core::SolverBackend::DenseReference;
-    let plane = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let reference = PwcetAnalyzer::new(dense)
-        .with_reuse_plane(Arc::clone(&plane))
-        .analyze(&program())
-        .unwrap();
-    assert_eq!(plane.stats().cold_builds, 1);
-
-    let path = &entry_paths(&dir)[0];
-    let bytes = fs::read(path).unwrap();
-    assert_eq!(
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        3,
-        "the store writes the current version"
-    );
-    assert_eq!(
-        &bytes[bytes.len() - 8..],
-        &[0u8; 8],
-        "a dense-reference entry has an empty basis section"
-    );
-    let mut v2 = bytes[..bytes.len() - 8].to_vec();
-    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let payload_len = (v2.len() - 24) as u64;
-    v2[8..16].copy_from_slice(&payload_len.to_le_bytes());
-    let checksum = pwcet_core::fnv1a_checksum(&v2[24..]);
-    v2[16..24].copy_from_slice(&checksum.to_le_bytes());
-    fs::write(path, v2).unwrap();
-
-    let fresh = Arc::new(ReusePlane::in_memory().with_disk_tier(&dir).unwrap());
-    let warm = PwcetAnalyzer::new(dense)
-        .with_reuse_plane(Arc::clone(&fresh))
-        .analyze(&program())
-        .unwrap();
-    assert_same_results(&reference, &warm);
-    let stats = fresh.stats();
-    assert_eq!(stats.disk_hits, 1, "a v2 entry is a valid hit");
-    assert_eq!(stats.cold_builds, 0);
-    assert_eq!(stats.basis_restores, 0, "v2 carries no solver state");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -119,22 +119,6 @@ impl SolveStats {
     pub fn total_pivots(&self) -> u64 {
         self.pivots + self.dual_pivots
     }
-
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("pivots", self.pivots),
-            ("dual_pivots", self.dual_pivots),
-            ("bound_flips", self.bound_flips),
-            ("bb_nodes", self.bb_nodes),
-            ("warm_starts", self.warm_starts),
-            ("cold_starts", self.cold_starts),
-            ("cold_probes", self.cold_probes),
-            ("trivial_prunes", self.trivial_prunes),
-        ]
-    }
 }
 
 /// Thread-safe accumulator of [`SolveStats`] (plain relaxed counters —

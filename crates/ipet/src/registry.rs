@@ -46,21 +46,6 @@ pub struct TemplateCounters {
     pub objective_hits: u64,
 }
 
-impl TemplateCounters {
-    /// The counters as a self-describing name→value table (field names
-    /// verbatim). This is what telemetry exposition serializes, so a
-    /// new counter added here reaches the wire with no protocol change.
-    pub fn entries(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("template_hits", self.template_hits),
-            ("template_builds", self.template_builds),
-            ("basis_restores", self.basis_restores),
-            ("basis_rejects", self.basis_rejects),
-            ("objective_hits", self.objective_hits),
-        ]
-    }
-}
-
 /// One registry slot: a template keyed by CFG fingerprint and options.
 type TemplateSlot = ((u64, IpetOptions), Arc<IpetTemplate>);
 

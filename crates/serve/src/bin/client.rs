@@ -5,7 +5,7 @@
 //! pwcet-client <SERVERS> analyze NAME [-n K]   analyze one benchmark K times (default 1)
 //! pwcet-client <SERVERS> program FILE          submit a request frame exported to FILE
 //! pwcet-client <SERVERS> export NAME FILE      write NAME's analyze-request frame to FILE
-//! pwcet-client <SERVERS> stats [--json]        print the service counters
+//! pwcet-client <SERVERS> stats [--json]        print the classic service counters
 //! pwcet-client <SERVERS> metrics [--json]      print the full metrics table (exact quantiles)
 //! pwcet-client <SERVERS> shutdown              ask the server to drain and exit
 //! ```
@@ -24,14 +24,63 @@
 //! client-minted trace ID, echoed back with the server's per-stage
 //! timing breakdown. `metrics` dumps the self-describing name→value
 //! table in Prometheus text exposition style (or, with `--json`, as the
-//! flat one-pair-per-line JSON object the bench tooling uses — with the
-//! client's own attempt counters appended as `client_*` rows).
+//! flat one-pair-per-line JSON object the bench tooling uses), with the
+//! client's own attempt counters appended as `client_*` rows. `stats`
+//! is the same scrape filtered to the classic service counters
+//! ([`STATS_NAMES`]), one `name: value` line each (or, with `--json`,
+//! the same flat JSON shape).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use pwcet_obs::TraceId;
 use pwcet_serve::{FleetClient, Request, Response, RetryStats, StageTiming};
+
+/// The rows `stats` prints, in order: the classic service counters
+/// (occupancy, traffic per tier, reuse-plane, solver, classifier and
+/// fleet counters). Every one is a row of the `metrics` table.
+const STATS_NAMES: [&str; 40] = [
+    "shards",
+    "queue_capacity",
+    "queued",
+    "connections",
+    "served",
+    "overloads",
+    "protocol_errors",
+    "served_memory",
+    "served_disk",
+    "served_derived",
+    "served_network",
+    "served_cold",
+    "memory_hits",
+    "memory_misses",
+    "disk_hits",
+    "disk_writes",
+    "disk_corrupt",
+    "derived",
+    "cold_builds",
+    "network_hits",
+    "network_misses",
+    "network_corrupt",
+    "network_offers",
+    "peer_fetches_served",
+    "peer_offers_stored",
+    "peers",
+    "peers_unhealthy",
+    "ilp_pivots",
+    "ilp_dual_pivots",
+    "ilp_bb_nodes",
+    "ilp_warm_starts",
+    "ilp_cold_starts",
+    "ilp_trivial_prunes",
+    "template_hits",
+    "basis_restores",
+    "basis_rejects",
+    "classify_passes",
+    "classify_words_touched",
+    "classify_sets_skipped",
+    "store_bytes",
+];
 
 const DEFAULT_PFAIL: f64 = 1e-4;
 const DEFAULT_TARGET_P: f64 = 1e-15;
@@ -65,13 +114,16 @@ fn print_stages(trace: u64, stages: &[StageTiming]) {
 /// Prints a name→value table as flat JSON: one `"key": value` pair per
 /// line, no nesting — the same restricted shape `BENCH_pipeline.json`
 /// uses, so the output pipes straight into the bench tooling.
+///
+/// The object is written in one piece, so a reader that stops early
+/// (`… | head -5`) cannot close the pipe between two of its lines.
 fn print_json(entries: &[(String, u64)]) {
-    println!("{{");
+    let mut out = String::from("{\n");
     for (index, (name, value)) in entries.iter().enumerate() {
         let comma = if index + 1 == entries.len() { "" } else { "," };
-        println!("  \"{name}\": {value}{comma}");
+        out.push_str(&format!("  \"{name}\": {value}{comma}\n"));
     }
-    println!("}}");
+    println!("{out}}}");
 }
 
 fn fail(message: impl std::fmt::Display) -> ExitCode {
@@ -123,8 +175,8 @@ fn print_percentiles(mut latencies: Vec<u64>) {
 }
 
 /// The client's own attempt accounting as `client_*` rows, appended to
-/// `--json` tables so a chaos or failover run shows how hard the client
-/// had to work alongside what the server saw.
+/// `metrics` and `stats --json` tables so a chaos or failover run shows
+/// how hard the client had to work alongside what the server saw.
 fn attempt_entries(stats: RetryStats) -> Vec<(String, u64)> {
     vec![
         ("client_attempts".to_string(), stats.attempts),
@@ -213,55 +265,6 @@ fn submit(
                 );
             }
             print_stages(trace, &stages);
-            Ok(true)
-        }
-        Response::Stats(stats) => {
-            println!("{stats:#?}");
-            // Solver behavior at a glance, next to the reuse-tier
-            // counters above.
-            if stats.ilp_bb_nodes > 0 {
-                println!(
-                    "ilp: {} pivots ({} dual), {} B&B nodes, {} warm starts, \
-                     {} cold starts, {} trivial prunes",
-                    stats.ilp_pivots,
-                    stats.ilp_dual_pivots,
-                    stats.ilp_bb_nodes,
-                    stats.ilp_warm_starts,
-                    stats.ilp_cold_starts,
-                    stats.ilp_trivial_prunes,
-                );
-            }
-            if stats.template_hits + stats.basis_restores + stats.basis_rejects > 0 {
-                println!(
-                    "templates: {} registry hits, {} bases restored, {} bases rejected",
-                    stats.template_hits, stats.basis_restores, stats.basis_rejects,
-                );
-            }
-            if stats.classify_passes > 0 {
-                println!(
-                    "classify: {} passes, {} words touched, {} sets skipped",
-                    stats.classify_passes,
-                    stats.classify_words_touched,
-                    stats.classify_sets_skipped,
-                );
-            }
-            if stats.store_bytes > 0 {
-                println!("store: {} bytes on disk", stats.store_bytes);
-            }
-            if stats.peers > 0 {
-                println!(
-                    "fleet: {} peers ({} unhealthy), network hits/misses/corrupt = {}/{}/{}, \
-                     {} offers out, {} peer fetches served, {} peer offers stored",
-                    stats.peers,
-                    stats.peers_unhealthy,
-                    stats.network_hits,
-                    stats.network_misses,
-                    stats.network_corrupt,
-                    stats.network_offers,
-                    stats.peer_fetches_served,
-                    stats.peer_offers_stored,
-                );
-            }
             Ok(true)
         }
         Response::Entry { key, entry } => {
@@ -420,27 +423,28 @@ fn run() -> Result<ExitCode, ExitCode> {
             all_ok &= submit(&mut client, &request, &mut latencies)?;
         }
         "stats" => {
+            let table = client
+                .metrics()
+                .map_err(|e| fail(format!("request failed: {e}")))?;
+            let mut entries: Vec<(String, u64)> = STATS_NAMES
+                .iter()
+                .filter_map(|&name| table.iter().find(|(n, _)| n == name).cloned())
+                .collect();
             if args.get(1).map(String::as_str) == Some("--json") {
-                let stats = client
-                    .stats()
-                    .map_err(|e| fail(format!("request failed: {e}")))?;
-                let mut entries: Vec<(String, u64)> = stats
-                    .entries()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), value))
-                    .collect();
                 entries.extend(attempt_entries(client.retry_stats()));
                 print_json(&entries);
             } else {
-                all_ok &= submit(&mut client, &Request::Stats, &mut latencies)?;
+                for (name, value) in &entries {
+                    println!("{name}: {value}");
+                }
             }
         }
         "metrics" => {
             let mut entries = client
                 .metrics()
                 .map_err(|e| fail(format!("request failed: {e}")))?;
+            entries.extend(attempt_entries(client.retry_stats()));
             if args.get(1).map(String::as_str) == Some("--json") {
-                entries.extend(attempt_entries(client.retry_stats()));
                 print_json(&entries);
             } else {
                 // Prometheus text exposition: one `name value` sample

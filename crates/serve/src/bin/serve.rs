@@ -116,30 +116,36 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = server.stats();
+    let table = server.metrics_table();
     println!(
         "pwcet-serve listening on {} shards={} queue={} disk={} peers={}",
         server.local_addr(),
-        stats.shards,
-        stats.queue_capacity,
+        metric(&table, "shards"),
+        metric(&table, "queue_capacity"),
         disk,
         fleet_peers,
     );
 
     server.wait_for_shutdown_request();
     println!("pwcet-serve draining…");
-    let final_stats = server.shutdown();
+    let table = server.shutdown();
+    let m = |name| metric(&table, name);
     println!(
         "pwcet-serve drained and shut down cleanly: served={} overloads={} protocol_errors={} \
          served_from memory/disk/derived/network/cold = {}/{}/{}/{}/{}",
-        final_stats.served,
-        final_stats.overloads,
-        final_stats.protocol_errors,
-        final_stats.served_memory,
-        final_stats.served_disk,
-        final_stats.served_derived,
-        final_stats.served_network,
-        final_stats.served_cold,
+        m("served"),
+        m("overloads"),
+        m("protocol_errors"),
+        m("served_memory"),
+        m("served_disk"),
+        m("served_derived"),
+        m("served_network"),
+        m("served_cold"),
     );
     ExitCode::SUCCESS
+}
+
+/// The value of one row of a metrics table (0 when absent).
+fn metric(table: &[(String, u64)], name: &str) -> u64 {
+    table.iter().find(|(n, _)| n == name).map_or(0, |e| e.1)
 }

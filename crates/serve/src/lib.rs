@@ -7,7 +7,7 @@
 //! invocation; this crate keeps one long-lived process warm instead:
 //!
 //! * a **wire protocol** ([`protocol`]) — length-prefixed, versioned,
-//!   checksummed `PWCQ` frames carrying analysis, batch, sweep, stats,
+//!   checksummed `PWCQ` frames carrying analysis, batch, sweep, metrics,
 //!   and shutdown requests, with paranoid decoding that degrades every
 //!   corruption class to a clean error response;
 //! * a **sharded work queue** ([`shard`]) — requests hash by program
@@ -66,7 +66,7 @@ pub use compile_memo::COMPILE_MEMO_CAPACITY;
 pub use peer::{FleetConfig, FleetStats, PeerFleet, PeerRing};
 pub use protocol::{
     AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response, ServedFrom,
-    ServiceStats, StageTiming, WireError,
+    StageTiming, WireError,
 };
 pub use server::{Server, ServerConfig, FRAME_DEADLINE};
 pub use shard::{ShardPool, SubmitError};

@@ -41,7 +41,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ use crate::compile_memo::CompileMemo;
 use crate::peer::{FleetConfig, PeerFleet};
 use crate::protocol::{
     self, AnalysisRow, ErrorCode, GeometryRow, PfailRow, ProtocolError, Request, Response,
-    ServiceStats, StageTiming, WireError,
+    StageTiming, WireError,
 };
 use crate::shard::{ShardPool, SubmitError};
 
@@ -199,10 +199,25 @@ struct Job {
 
 /// The server's telemetry plane: the span collector shared with every
 /// layer below (core pipeline, reuse plane, peer fleet) plus the
-/// metrics registry with the hot-path instruments resolved once.
+/// metrics registry with the request-path instruments resolved once.
 struct Telemetry {
     tracer: Arc<Tracer>,
     registry: Registry,
+    /// Service counters, registered under their field names:
+    /// connections accepted, jobs completed (in total and per answering
+    /// reuse tier), overload refusals, malformed frames, and the fleet
+    /// verbs this node answered with an entry or stored.
+    connections: Arc<Counter>,
+    served: Arc<Counter>,
+    overloads: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
+    served_memory: Arc<Counter>,
+    served_disk: Arc<Counter>,
+    served_derived: Arc<Counter>,
+    served_network: Arc<Counter>,
+    served_cold: Arc<Counter>,
+    peer_fetches_served: Arc<Counter>,
+    peer_offers_stored: Arc<Counter>,
     requests: Arc<Counter>,
     request_latency_us: Arc<Histogram>,
     queue_wait_us: Arc<Histogram>,
@@ -223,22 +238,38 @@ impl Telemetry {
             None => Tracer::new(DEFAULT_RING_CAPACITY),
         });
         let registry = Registry::new();
-        let requests = registry.counter("requests");
-        let request_latency_us = registry.histogram("request_latency_us");
-        let queue_wait_us = registry.histogram("queue_wait_us");
-        let service_us = registry.histogram("service_us");
-        let worker_panics = registry.counter("worker_panics");
-        let response_write_failures = registry.counter("response_write_failures");
         Ok(Self {
             tracer,
+            connections: registry.counter("connections"),
+            served: registry.counter("served"),
+            overloads: registry.counter("overloads"),
+            protocol_errors: registry.counter("protocol_errors"),
+            served_memory: registry.counter("served_memory"),
+            served_disk: registry.counter("served_disk"),
+            served_derived: registry.counter("served_derived"),
+            served_network: registry.counter("served_network"),
+            served_cold: registry.counter("served_cold"),
+            peer_fetches_served: registry.counter("peer_fetches_served"),
+            peer_offers_stored: registry.counter("peer_offers_stored"),
+            requests: registry.counter("requests"),
+            request_latency_us: registry.histogram("request_latency_us"),
+            queue_wait_us: registry.histogram("queue_wait_us"),
+            service_us: registry.histogram("service_us"),
+            worker_panics: registry.counter("worker_panics"),
+            response_write_failures: registry.counter("response_write_failures"),
             registry,
-            requests,
-            request_latency_us,
-            queue_wait_us,
-            service_us,
-            worker_panics,
-            response_write_failures,
         })
+    }
+
+    fn count_tier(&self, tier: ReuseTier) {
+        match tier {
+            ReuseTier::Memory => &self.served_memory,
+            ReuseTier::Disk => &self.served_disk,
+            ReuseTier::Derived => &self.served_derived,
+            ReuseTier::Network => &self.served_network,
+            ReuseTier::Cold => &self.served_cold,
+        }
+        .inc();
     }
 
     /// Records a span that was timed outside any [`trace_scope`] (queue
@@ -259,40 +290,12 @@ impl Telemetry {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    served: AtomicU64,
-    overloads: AtomicU64,
-    protocol_errors: AtomicU64,
-    served_memory: AtomicU64,
-    served_disk: AtomicU64,
-    served_derived: AtomicU64,
-    served_network: AtomicU64,
-    served_cold: AtomicU64,
-    peer_fetches_served: AtomicU64,
-    peer_offers_stored: AtomicU64,
-}
-
-impl Counters {
-    fn count_tier(&self, tier: ReuseTier) {
-        let counter = match tier {
-            ReuseTier::Memory => &self.served_memory,
-            ReuseTier::Disk => &self.served_disk,
-            ReuseTier::Derived => &self.served_derived,
-            ReuseTier::Network => &self.served_network,
-            ReuseTier::Cold => &self.served_cold,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Everything a shard worker touches: the shared plane, the per-shard
 /// analysis configuration, and the service counters.
 struct Engine {
     plane: Arc<ReusePlane>,
     config: AnalysisConfig,
-    counters: Arc<Counters>,
+    telemetry: Arc<Telemetry>,
 }
 
 impl Engine {
@@ -312,7 +315,7 @@ impl Engine {
                     .analyzer(config)
                     .analyze_compiled_traced(&compiled)
                     .map_err(|e| e.to_string())?;
-                self.counters.count_tier(tier);
+                self.telemetry.count_tier(tier);
                 Ok(Outcome::Row(row_of(&analysis, tier, target_p)))
             }
             Work::SweepPfail {
@@ -337,7 +340,7 @@ impl Engine {
                     });
                 }
                 let served_from = served.expect("sweeps are validated non-empty");
-                self.counters.count_tier(served_from);
+                self.telemetry.count_tier(served_from);
                 Ok(Outcome::Pfail {
                     name: compiled.name().to_string(),
                     served_from,
@@ -367,7 +370,7 @@ impl Engine {
                     });
                 }
                 let served_from = served.expect("lattices are validated non-empty");
-                self.counters.count_tier(served_from);
+                self.telemetry.count_tier(served_from);
                 Ok(Outcome::Geometry {
                     name: compiled.name().to_string(),
                     served_from,
@@ -397,7 +400,6 @@ struct Shared {
     pool: ShardPool<Job>,
     engine: Arc<Engine>,
     stop: AtomicBool,
-    counters: Arc<Counters>,
     connections: Mutex<Vec<JoinHandle<()>>>,
     poll: Duration,
     queue_capacity: usize,
@@ -410,126 +412,61 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats(&self) -> ServiceStats {
-        let plane = self.engine.plane.stats();
-        let ilp = self.engine.plane.ilp_stats();
-        let kernel = self.engine.plane.kernel_stats();
-        ServiceStats {
-            shards: self.pool.shard_count() as u32,
-            queue_capacity: self.queue_capacity as u32,
-            queued: self.pool.queued() as u64,
-            connections: self.counters.connections.load(Ordering::Relaxed),
-            served: self.counters.served.load(Ordering::Relaxed),
-            overloads: self.counters.overloads.load(Ordering::Relaxed),
-            protocol_errors: self.counters.protocol_errors.load(Ordering::Relaxed),
-            served_memory: self.counters.served_memory.load(Ordering::Relaxed),
-            served_disk: self.counters.served_disk.load(Ordering::Relaxed),
-            served_derived: self.counters.served_derived.load(Ordering::Relaxed),
-            served_network: self.counters.served_network.load(Ordering::Relaxed),
-            served_cold: self.counters.served_cold.load(Ordering::Relaxed),
-            memory_hits: plane.memory.hits,
-            memory_misses: plane.memory.misses,
-            disk_hits: plane.disk_hits,
-            disk_writes: plane.disk_writes,
-            disk_corrupt: plane.disk_corrupt,
-            derived: plane.derived,
-            cold_builds: plane.cold_builds,
-            network_hits: plane.network_hits,
-            network_misses: plane.network_misses,
-            network_corrupt: plane.network_corrupt,
-            network_offers: plane.network_offers,
-            peer_fetches_served: self.counters.peer_fetches_served.load(Ordering::Relaxed),
-            peer_offers_stored: self.counters.peer_offers_stored.load(Ordering::Relaxed),
-            peers: self.fleet.as_ref().map_or(0, |f| f.peer_count() as u32),
-            peers_unhealthy: self
-                .fleet
-                .as_ref()
-                .map_or(0, |f| f.unhealthy_count() as u32),
-            ilp_pivots: ilp.pivots,
-            ilp_dual_pivots: ilp.dual_pivots,
-            ilp_bb_nodes: ilp.bb_nodes,
-            ilp_warm_starts: ilp.warm_starts,
-            ilp_trivial_prunes: ilp.trivial_prunes,
-            ilp_cold_starts: ilp.cold_starts,
-            template_hits: plane.template_hits,
-            basis_restores: plane.basis_restores,
-            basis_rejects: plane.basis_rejects,
-            classify_passes: kernel.passes,
-            classify_words_touched: kernel.words_touched,
-            classify_sets_skipped: kernel.sets_skipped,
-            store_bytes: self.engine.plane.disk_store_bytes().unwrap_or(0),
-        }
-    }
-
     /// The full self-describing metrics table answered by
-    /// [`Request::Metrics`]: every legacy [`ServiceStats`] counter by
-    /// its frozen name, the lower layers' own `entries()` enumerations
-    /// (which may grow without protocol changes), tracer health, and
-    /// the registry's instruments — histograms expanded to exact
-    /// `_count/_sum/_mean/_p50/_p95/_p99/_max` rows.
+    /// [`Request::Metrics`], sorted by name. Each row has exactly one
+    /// source: the server's registry (service counters, compile memo,
+    /// latency histograms expanded to exact quantile rows), the reuse
+    /// plane's table, values read now (shard and queue occupancy, fleet
+    /// health, store size, tracer drops, the fleet transport counters),
+    /// and, under the `chaos` feature, the active fault plan's
+    /// `chaos_fired_*` counters.
     fn metrics_table(&self) -> Vec<(String, u64)> {
-        let mut table: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (name, value) in self.stats().entries() {
-            table.insert(name.to_string(), value);
+        let plane = &self.engine.plane;
+        let mut table = self.telemetry.registry.snapshot().table();
+        table.extend(plane.metrics_table());
+        let fleet = self.fleet.as_deref();
+        let mut read_now = vec![
+            ("shards", self.pool.shard_count() as u64),
+            ("queue_capacity", self.queue_capacity as u64),
+            ("queued", self.pool.queued() as u64),
+            ("peers", fleet.map_or(0, |f| f.peer_count() as u64)),
+            (
+                "peers_unhealthy",
+                fleet.map_or(0, |f| f.unhealthy_count() as u64),
+            ),
+            ("store_bytes", plane.disk_store_bytes().unwrap_or(0)),
+            ("trace_spans_dropped", self.telemetry.tracer.dropped()),
+        ];
+        // The fleet's transport counters: the failure half (errors,
+        // failed and dropped offers) the chaos suite reconciles injected
+        // peer faults against.
+        if let Some(fleet) = fleet {
+            let stats = fleet.stats();
+            read_now.extend([
+                ("fleet_fetch_hits", stats.fetch_hits),
+                ("fleet_fetch_misses", stats.fetch_misses),
+                ("fleet_fetch_errors", stats.fetch_errors),
+                ("fleet_offers_sent", stats.offers_sent),
+                ("fleet_offers_failed", stats.offers_failed),
+                ("fleet_offers_dropped", stats.offers_dropped),
+            ]);
         }
-        // Lower-layer enumerators: overlapping names carry the same
-        // values as the legacy rows (both read the same counters);
-        // names only they know (eviction counts, bound flips, template
-        // builds…) are the growth path.
-        for (name, value) in self.engine.plane.stats().entries() {
-            table.insert(name.to_string(), value);
-        }
-        for (name, value) in self.engine.plane.ilp_stats().entries() {
-            table.insert(format!("ilp_{name}"), value);
-        }
-        for (name, value) in self.engine.plane.kernel_stats().entries() {
-            table.insert(format!("classify_{name}"), value);
-        }
-        for (name, value) in self.engine.plane.template_registry().counters().entries() {
-            table.insert(name.to_string(), value);
-        }
-        table.insert(
-            "trace_spans_dropped".to_string(),
-            self.telemetry.tracer.dropped(),
-        );
-        for (name, value) in self.telemetry.registry.snapshot().table() {
-            table.insert(name, value);
-        }
-        for (name, value) in self.engine.plane.metrics().snapshot().table() {
-            table.insert(name, value);
-        }
-        // Fleet transport counters under a `fleet_` prefix — the legacy
-        // stats rows carry hits/misses/corrupt, these add the failure
-        // half (errors, failed and dropped offers) the chaos suite
-        // reconciles injected peer faults against.
-        if let Some(fleet) = &self.fleet {
-            let fleet_stats = fleet.stats();
-            for (name, value) in [
-                ("fleet_fetch_hits", fleet_stats.fetch_hits),
-                ("fleet_fetch_misses", fleet_stats.fetch_misses),
-                ("fleet_fetch_errors", fleet_stats.fetch_errors),
-                ("fleet_offers_sent", fleet_stats.offers_sent),
-                ("fleet_offers_failed", fleet_stats.offers_failed),
-                ("fleet_offers_dropped", fleet_stats.offers_dropped),
-            ] {
-                table.insert(name.to_string(), value);
-            }
-        }
-        // The active fault plan's per-point fired counters
-        // (`chaos_fired_*`), so chaos tests reconcile injected faults
-        // against the degradation counters above over one scrape.
+        table.extend(read_now.into_iter().map(|(n, v)| (n.to_string(), v)));
         #[cfg(feature = "chaos")]
         if let Some(plan) = pwcet_chaos::active() {
-            for (name, value) in plan.entries() {
-                table.insert(name, value);
-            }
+            table.extend(plan.entries());
         }
-        table.into_iter().collect()
+        table.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(
+            table.windows(2).all(|w| w[0].0 != w[1].0),
+            "a metric name is written by two sources"
+        );
+        table
     }
 }
 
 /// A running analysis server. Dropping it performs the same graceful
-/// drain as [`shutdown`](Self::shutdown) (minus the returned stats), so
+/// drain as [`shutdown`](Self::shutdown) (minus the returned table), so
 /// an early-return error path never leaks the accept thread or the
 /// bound port.
 pub struct Server {
@@ -576,15 +513,13 @@ impl Server {
                 .unwrap_or(1);
             shard_analysis.parallelism = Parallelism::threads((total / shards).max(1));
         }
-        let counters = Arc::new(Counters::default());
         let telemetry = Arc::new(Telemetry::new(config.trace_out.as_ref())?);
         let engine = Arc::new(Engine {
             plane,
             config: shard_analysis,
-            counters: Arc::clone(&counters),
+            telemetry: Arc::clone(&telemetry),
         });
         let worker_engine = Arc::clone(&engine);
-        let worker_counters = Arc::clone(&counters);
         let worker_telemetry = Arc::clone(&telemetry);
         let pool = ShardPool::new(shards, config.queue_capacity, move |_, job: Job| {
             let Job {
@@ -623,7 +558,7 @@ impl Server {
             worker_telemetry.record_span(trace, Stage::Service, service_us);
             spans.insert(0, (Stage::QueueWait, queue_us));
             spans.push((Stage::Service, service_us));
-            worker_counters.served.fetch_add(1, Ordering::Relaxed);
+            worker_telemetry.served.inc();
             // The requester may have given up (connection died); a failed
             // send is not an error.
             let _ = reply.send((result, spans));
@@ -649,7 +584,6 @@ impl Server {
             pool,
             engine,
             stop: AtomicBool::new(false),
-            counters,
             connections: Mutex::new(Vec::new()),
             poll: config.poll,
             queue_capacity: config.queue_capacity,
@@ -678,14 +612,9 @@ impl Server {
         &self.shared.engine.plane
     }
 
-    /// Current service counters (what [`Request::Stats`] answers).
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
-    }
-
     /// The full self-describing metrics table (what [`Request::Metrics`]
-    /// answers): legacy counters by their frozen names plus every
-    /// registry instrument, histograms expanded to exact quantile rows.
+    /// answers), sorted by name: every counter of the server and its
+    /// reuse plane, histograms expanded to exact quantile rows.
     pub fn metrics_table(&self) -> Vec<(String, u64)> {
         self.shared.metrics_table()
     }
@@ -719,10 +648,10 @@ impl Server {
     /// Gracefully stops the server: no new connections or submissions,
     /// every queued job drains and answers, then all threads are joined
     /// and the reuse plane is flushed through to its disk tier. Returns
-    /// the final counters.
-    pub fn shutdown(mut self) -> ServiceStats {
+    /// the final metrics table.
+    pub fn shutdown(mut self) -> Vec<(String, u64)> {
         self.drain_and_join();
-        self.shared.stats()
+        self.shared.metrics_table()
     }
 
     /// The drain sequence shared by [`shutdown`](Self::shutdown) and
@@ -762,15 +691,15 @@ impl Server {
             json.push('}');
             self.shared.telemetry.tracer.sink_line(&json);
             self.shared.telemetry.tracer.flush();
-            let stats = self.shared.stats();
+            let m = |name: &str| table.iter().find(|(n, _)| n == name).map_or(0, |e| e.1);
             eprintln!(
                 "pwcet-serve: drained; served={} overloads={} protocol_errors={} \
                  cold_builds={} store_bytes={}",
-                stats.served,
-                stats.overloads,
-                stats.protocol_errors,
-                stats.cold_builds,
-                stats.store_bytes
+                m("served"),
+                m("overloads"),
+                m("protocol_errors"),
+                m("cold_builds"),
+                m("store_bytes")
             );
         }
     }
@@ -792,7 +721,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.stop.load(Ordering::Relaxed) {
                     return;
                 }
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.connections.inc();
                 let conn_shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || serve_connection(stream, &conn_shared));
                 let mut connections = shared.connections.lock().expect("conn list");
@@ -872,7 +801,7 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<PolledRe
     if pwcet_chaos::should_fire(pwcet_chaos::FaultPoint::WireTornRead) {
         return Err(ProtocolError::Truncated.into());
     }
-    let (payload_len, sum) = protocol::parse_header(&header)?;
+    let (payload_len, sum) = protocol::FRAME.parse_header(&header)?;
     let mut payload = vec![0u8; payload_len as usize];
     let mut filled = 0usize;
     let deadline = Instant::now() + shared.deadline;
@@ -896,7 +825,7 @@ fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<PolledRe
             Err(e) => return Err(e.into()),
         }
     }
-    protocol::verify_payload(&payload, sum)?;
+    pwcet_core::bytes::verify(&payload, sum)?;
     Ok(PolledRead::Payload(payload))
 }
 
@@ -934,7 +863,7 @@ fn error_response(code: ErrorCode, message: impl Into<String>) -> Response {
 /// rough drain estimate from the refusing shard's queue depth, floored
 /// so a hint is never zero and capped so a deep queue cannot park
 /// clients for ages. Carried as the structured `retry_after_ms` field
-/// of the v7 error payload.
+/// of the error payload.
 fn retry_after_hint(depth: usize) -> u64 {
     (depth as u64).saturating_mul(50).clamp(50, 5_000)
 }
@@ -965,10 +894,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let request = match protocol::decode_request_payload(&payload) {
                     Ok(request) => request,
                     Err(e) => {
-                        shared
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.telemetry.protocol_errors.inc();
                         let _ = respond(
                             &mut stream,
                             &error_response(ErrorCode::Malformed, e.to_string()),
@@ -994,10 +920,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // mismatch, truncation: answer once, then drop the
                 // connection — resynchronizing a corrupt stream is not
                 // worth guessing at frame boundaries.
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.protocol_errors.inc();
                 let _ = respond(
                     &mut stream,
                     &error_response(ErrorCode::Malformed, e.to_string()),
@@ -1052,10 +975,6 @@ fn dispatch(
 ) -> std::io::Result<bool> {
     let started = Instant::now();
     match request {
-        Request::Stats => {
-            respond(stream, &Response::Stats(Box::new(shared.stats())))?;
-            Ok(true)
-        }
         Request::Metrics => {
             respond(
                 stream,
@@ -1086,10 +1005,7 @@ fn dispatch(
                 started.elapsed().as_micros() as u64,
             );
             if entry.is_some() {
-                shared
-                    .counters
-                    .peer_fetches_served
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.peer_fetches_served.inc();
             }
             respond(stream, &Response::Entry { key, entry })?;
             Ok(true)
@@ -1097,10 +1013,7 @@ fn dispatch(
         Request::OfferEntry { key, entry } => {
             let stored = shared.engine.plane.import_entry(key, entry);
             if stored {
-                shared
-                    .counters
-                    .peer_offers_stored
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.peer_offers_stored.inc();
             }
             respond(stream, &Response::OfferAck { stored })?;
             Ok(true)
@@ -1327,7 +1240,7 @@ fn run_job(
     match shared.pool.submit(key, job) {
         Ok(_) => {}
         Err(SubmitError::Overloaded { shard, depth, .. }) => {
-            shared.counters.overloads.fetch_add(1, Ordering::Relaxed);
+            shared.telemetry.overloads.inc();
             return overloaded_response(
                 format!("shard {shard} queue full (depth {depth}); retry later"),
                 depth,
@@ -1419,7 +1332,7 @@ fn run_batch(
             Err(SubmitError::Overloaded { shard, depth, .. }) => {
                 // Jobs already submitted still run (and warm the plane);
                 // their replies are dropped with the receivers.
-                shared.counters.overloads.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.overloads.inc();
                 return overloaded_response(
                     format!(
                         "shard {shard} queue full (depth {depth}) at batch item {}; retry later",

@@ -375,8 +375,8 @@ fn storm_never_produces_a_wrong_answer() {
     }
 
     // B is done; drain it cleanly under the still-active plan.
-    let stats_b = node_b.shutdown();
-    assert_eq!(stats_b.queued, 0, "B drained dirty (seed {seed:#018x})");
+    let stats_b: BTreeMap<String, u64> = node_b.shutdown().into_iter().collect();
+    assert_eq!(stats_b["queued"], 0, "B drained dirty (seed {seed:#018x})");
 
     // Phase 2, peer replay: a fresh node ringed to A re-analyzes the
     // whole population. Its local misses fetch real entries from A's
@@ -412,10 +412,10 @@ fn storm_never_produces_a_wrong_answer() {
          (seed {seed:#018x})",
         summed(&[&table_c], "network_corrupt")
     );
-    let stats_c = node_c.shutdown();
-    assert_eq!(stats_c.queued, 0, "C drained dirty (seed {seed:#018x})");
-    let stats_a = node_a.shutdown();
-    assert_eq!(stats_a.queued, 0, "A drained dirty (seed {seed:#018x})");
+    let stats_c: BTreeMap<String, u64> = node_c.shutdown().into_iter().collect();
+    assert_eq!(stats_c["queued"], 0, "C drained dirty (seed {seed:#018x})");
+    let stats_a: BTreeMap<String, u64> = node_a.shutdown().into_iter().collect();
+    assert_eq!(stats_a["queued"], 0, "A drained dirty (seed {seed:#018x})");
 
     // Phase 3, disk replay: reopen A's store. Every analysis now starts
     // with a disk read, so `disk_bit_flip` finally has entries to
@@ -447,8 +447,8 @@ fn storm_never_produces_a_wrong_answer() {
          (seed {seed:#018x})",
         summed(&[&table_d], "disk_corrupt")
     );
-    let stats_d = node_d.shutdown();
-    assert_eq!(stats_d.queued, 0, "D drained dirty (seed {seed:#018x})");
+    let stats_d: BTreeMap<String, u64> = node_d.shutdown().into_iter().collect();
+    assert_eq!(stats_d["queued"], 0, "D drained dirty (seed {seed:#018x})");
 
     // Bounded wall clock over every faulted phase, and an activity
     // floor: a storm that fires nothing is a broken storm.
@@ -458,7 +458,7 @@ fn storm_never_produces_a_wrong_answer() {
         "faulted phases took {elapsed:?}, bound is {WALL_CLOCK:?} (seed {seed:#018x})"
     );
     assert!(
-        stats_a.served + stats_b.served >= completed as u64,
+        stats_a["served"] + stats_b["served"] >= completed as u64,
         "served counters lost requests (seed {seed:#018x})"
     );
     assert!(

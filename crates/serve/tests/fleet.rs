@@ -2,6 +2,7 @@
 //! write back to the key's owner, and a poisoned peer entry degrades to
 //! a counted cold rebuild — never a wrong answer.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -20,6 +21,11 @@ fn program() -> Program {
             stmt::if_else(stmt::compute(9), stmt::loop_(12, stmt::compute(5))),
         ]),
     )
+}
+
+/// A metrics table (a scrape or a shutdown's final table), by name.
+fn by_name(table: Vec<(String, u64)>) -> BTreeMap<String, u64> {
+    table.into_iter().collect()
 }
 
 fn analyze(client: &mut Client, program: Program) -> AnalysisRow {
@@ -63,14 +69,14 @@ fn peer_answers_the_duplicate_from_the_network_tier() {
         }
     );
 
-    let stats_b = node_b.shutdown();
-    assert_eq!(stats_b.served_network, 1);
-    assert_eq!(stats_b.network_hits, 1);
-    assert_eq!(stats_b.cold_builds, 0, "B must not recompute");
-    assert_eq!(stats_b.peers, 1);
+    let stats_b = by_name(node_b.shutdown());
+    assert_eq!(stats_b["served_network"], 1);
+    assert_eq!(stats_b["network_hits"], 1);
+    assert_eq!(stats_b["cold_builds"], 0, "B must not recompute");
+    assert_eq!(stats_b["peers"], 1);
 
-    let stats_a = node_a.shutdown();
-    assert_eq!(stats_a.peer_fetches_served, 1, "A served B's fetch");
+    let stats_a = by_name(node_a.shutdown());
+    assert_eq!(stats_a["peer_fetches_served"], 1, "A served B's fetch");
 }
 
 /// One client-minted trace ID covers both sides of a peer-fetch hop:
@@ -173,8 +179,8 @@ fn cold_build_offers_the_entry_back_to_the_owner() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut client_b = Client::connect(node_b.local_addr()).expect("connect B");
     loop {
-        let stats = client_b.stats().expect("stats");
-        if stats.peer_offers_stored >= 1 {
+        let stats = by_name(client_b.metrics().expect("metrics"));
+        if stats["peer_offers_stored"] >= 1 {
             break;
         }
         assert!(
@@ -195,9 +201,9 @@ fn cold_build_offers_the_entry_back_to_the_owner() {
             ..cold_row
         }
     );
-    let stats_b = node_b.shutdown();
-    assert_eq!(stats_b.peer_offers_stored, 1);
-    assert_eq!(stats_b.cold_builds, 0);
+    let stats_b = by_name(node_b.shutdown());
+    assert_eq!(stats_b["peer_offers_stored"], 1);
+    assert_eq!(stats_b["cold_builds"], 0);
     node_a.shutdown();
 }
 
@@ -264,13 +270,13 @@ fn poisoned_peer_entry_degrades_to_a_counted_cold_build() {
     );
     standalone.shutdown();
 
-    let stats = node.shutdown();
-    assert_eq!(stats.cold_builds, 1);
+    let stats = by_name(node.shutdown());
+    assert_eq!(stats["cold_builds"], 1);
     assert!(
-        stats.network_corrupt >= 1,
+        stats["network_corrupt"] >= 1,
         "corrupt fetch must be counted: {stats:?}"
     );
-    assert_eq!(stats.network_hits, 0);
+    assert_eq!(stats["network_hits"], 0);
     // Unblock the fake peer's accept loop and join it.
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     drop(std::net::TcpStream::connect(fake_addr));

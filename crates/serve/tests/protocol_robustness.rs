@@ -73,8 +73,16 @@ fn header(magic: [u8; 4], version: u32, len: u64, checksum: u64) -> Vec<u8> {
 /// earlier abuse poisoned nothing.
 fn assert_still_serving(server: &Server) {
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let stats = client.stats().expect("stats after abuse");
-    assert!(stats.shards > 0);
+    let table = client.metrics().expect("metrics after abuse");
+    assert!(metric(&table, "shards") > 0);
+}
+
+fn metric(table: &[(String, u64)], name: &str) -> u64 {
+    table
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("metrics table lacks {name}"))
+        .1
 }
 
 #[test]
@@ -117,7 +125,7 @@ fn corruption_classes_degrade_cleanly() {
 
     // --- checksum mismatch (payload bit flip) ----------------------------
     {
-        let mut frame = protocol::encode_request(&Request::Stats);
+        let mut frame = protocol::encode_request(&Request::Metrics);
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
         let mut stream = raw_connection(&server);
@@ -161,13 +169,13 @@ fn corruption_classes_degrade_cleanly() {
 
     // --- mid-frame disconnect of a previously valid stream ---------------
     {
-        let frame = protocol::encode_request(&Request::Stats);
+        let frame = protocol::encode_request(&Request::Metrics);
         let mut stream = raw_connection(&server);
         // One complete request…
         stream.write_all(&frame).expect("write");
         assert!(matches!(
             read_response(&mut stream),
-            Some(Response::Stats(_))
+            Some(Response::Metrics { .. })
         ));
         // …then half a second one, then vanish.
         stream.write_all(&frame[..frame.len() / 2]).expect("write");
@@ -177,12 +185,53 @@ fn corruption_classes_degrade_cleanly() {
 
     // The abused server still drains and shuts down cleanly, counting
     // the protocol errors it answered.
-    let stats = server.shutdown();
+    let protocol_errors = metric(&server.shutdown(), "protocol_errors");
     assert!(
-        stats.protocol_errors >= 5,
-        "expected ≥ 5 counted protocol errors, got {}",
-        stats.protocol_errors
+        protocol_errors >= 5,
+        "expected ≥ 5 counted protocol errors, got {protocol_errors}"
     );
+}
+
+/// A frame of the previous protocol version — intact, checksummed, and
+/// well-formed for that version — is refused with a clean
+/// `UnsupportedVersion(7)` error, and the server goes on serving the
+/// next request.
+#[test]
+fn v7_frames_are_refused_and_the_next_request_is_served() {
+    let server = test_server();
+    let program = pwcet_progen::Program::new("after-v7").with_function(
+        "main",
+        pwcet_progen::stmt::loop_(8, pwcet_progen::stmt::compute(6)),
+    );
+    let mut frame = protocol::encode_request(&Request::Analyze {
+        program: program.clone(),
+        pfail: 1e-4,
+        target_p: 1e-15,
+        trace: 0,
+    });
+    frame[4..8].copy_from_slice(&7u32.to_le_bytes());
+    let mut stream = raw_connection(&server);
+    stream.write_all(&frame).expect("write");
+    match read_response(&mut stream) {
+        Some(Response::Error { code, message, .. }) => {
+            assert_eq!(code, ErrorCode::Malformed);
+            assert_eq!(
+                message,
+                protocol::ProtocolError::UnsupportedVersion(7).to_string()
+            );
+        }
+        other => panic!("expected an unsupported-version error, got {other:?}"),
+    }
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    match client.analyze(program, 1e-4, 1e-15).expect("transport") {
+        Response::Analysis { row, .. } => assert_eq!(row.name, "after-v7"),
+        other => panic!("the request after the refusal was not served: {other:?}"),
+    }
+    drop(client);
+    let table = server.shutdown();
+    assert_eq!(metric(&table, "protocol_errors"), 1);
+    assert_eq!(metric(&table, "served"), 1);
 }
 
 #[test]
@@ -198,11 +247,11 @@ fn half_frame_then_silence_does_not_pin_the_connection_forever() {
     stream.write_all(&VERSION.to_le_bytes()).expect("write");
 
     let started = std::time::Instant::now();
-    let stats = server.shutdown();
+    let table = server.shutdown();
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "shutdown must not wait for the stalled frame"
     );
-    assert_eq!(stats.queued, 0);
+    assert_eq!(metric(&table, "queued"), 0);
     drop(stream);
 }

@@ -2,6 +2,7 @@
 //! restarts, bit-identical warm answers, deterministic backpressure, and
 //! draining shutdown.
 
+use std::collections::BTreeMap;
 use std::thread;
 
 use pwcet_core::{AnalysisConfig, Protection, PwcetAnalyzer, ReuseTier};
@@ -23,6 +24,103 @@ fn server_with(shards: usize, queue: usize) -> Server {
     };
     Server::bind("127.0.0.1:0", config).expect("ephemeral bind")
 }
+
+/// A metrics table (a scrape or a shutdown's final table), by name.
+fn by_name(table: Vec<(String, u64)>) -> BTreeMap<String, u64> {
+    table.into_iter().collect()
+}
+
+/// Every name of the metrics table, as emitted by a fleet node that has
+/// served cold, memory, disk and network requests — captured once from
+/// the build whose fixed-layout stats verb fed the table, so scrapers
+/// written against those names keep working.
+const METRIC_NAMES: [&str; 85] = [
+    "basis_rejects",
+    "basis_restores",
+    "classify_passes",
+    "classify_sets_skipped",
+    "classify_words_touched",
+    "cold_builds",
+    "compile_memo_entries",
+    "compile_memo_hits",
+    "compile_memo_misses",
+    "connections",
+    "derived",
+    "disk_corrupt",
+    "disk_gc_evictions",
+    "disk_hits",
+    "disk_misses",
+    "disk_writes",
+    "estimate_memo_hits",
+    "estimate_memo_misses",
+    "fleet_fetch_errors",
+    "fleet_fetch_hits",
+    "fleet_fetch_misses",
+    "fleet_offers_dropped",
+    "fleet_offers_failed",
+    "fleet_offers_sent",
+    "ilp_bb_nodes",
+    "ilp_bound_flips",
+    "ilp_cold_probes",
+    "ilp_cold_starts",
+    "ilp_dual_pivots",
+    "ilp_pivots",
+    "ilp_trivial_prunes",
+    "ilp_warm_starts",
+    "memory_capacity",
+    "memory_evictions",
+    "memory_hits",
+    "memory_len",
+    "memory_misses",
+    "network_corrupt",
+    "network_hits",
+    "network_misses",
+    "network_offers",
+    "objective_hits",
+    "overloads",
+    "peer_fetches_served",
+    "peer_offers_stored",
+    "peers",
+    "peers_unhealthy",
+    "protocol_errors",
+    "queue_capacity",
+    "queue_wait_us_count",
+    "queue_wait_us_max",
+    "queue_wait_us_mean",
+    "queue_wait_us_p50",
+    "queue_wait_us_p95",
+    "queue_wait_us_p99",
+    "queue_wait_us_sum",
+    "queued",
+    "request_latency_us_count",
+    "request_latency_us_max",
+    "request_latency_us_mean",
+    "request_latency_us_p50",
+    "request_latency_us_p95",
+    "request_latency_us_p99",
+    "request_latency_us_sum",
+    "requests",
+    "response_write_failures",
+    "served",
+    "served_cold",
+    "served_derived",
+    "served_disk",
+    "served_memory",
+    "served_network",
+    "service_us_count",
+    "service_us_max",
+    "service_us_mean",
+    "service_us_p50",
+    "service_us_p95",
+    "service_us_p99",
+    "service_us_sum",
+    "shards",
+    "store_bytes",
+    "template_builds",
+    "template_hits",
+    "trace_spans_dropped",
+    "worker_panics",
+];
 
 fn analyze(client: &mut Client, program: Program) -> (AnalysisRow, u64) {
     match client
@@ -69,19 +167,22 @@ fn second_client_is_served_bit_identically_from_the_memory_tier() {
         analysis.estimate(Protection::ReliableWay).pwcet_at(1e-15)
     );
 
-    let stats = server.shutdown();
-    assert_eq!(stats.served, 2);
-    assert_eq!(stats.served_cold, 1);
-    assert_eq!(stats.served_memory, 1);
+    let stats = by_name(server.shutdown());
+    assert_eq!(stats["served"], 2);
+    assert_eq!(stats["served_cold"], 1);
+    assert_eq!(stats["served_memory"], 1);
     // The cold analysis ran the ILP stage through the plane, so the
-    // stats response reports solver behavior; the memory-tier duplicate
+    // metrics table reports solver behavior; the memory-tier duplicate
     // reused its memoized artifacts and added nothing.
-    assert!(stats.ilp_bb_nodes > 0, "solver counters reach the service");
     assert!(
-        stats.ilp_warm_starts > 0,
+        stats["ilp_bb_nodes"] > 0,
+        "solver counters reach the service"
+    );
+    assert!(
+        stats["ilp_warm_starts"] > 0,
         "the per-(set, fault) fan-out reuses the factored template basis"
     );
-    assert!(stats.ilp_pivots > 0);
+    assert!(stats["ilp_pivots"] > 0);
 }
 
 #[test]
@@ -127,9 +228,9 @@ fn restarted_server_answers_from_the_disk_tier() {
     let (cold_row, _) = analyze(&mut client, bench("bs"));
     assert_eq!(cold_row.served_from, ReuseTier::Cold);
     drop(client);
-    let stats = server.shutdown();
+    let stats = by_name(server.shutdown());
     assert!(
-        stats.disk_writes > 0,
+        stats["disk_writes"] > 0,
         "write-through must persist the context"
     );
 
@@ -347,14 +448,14 @@ fn full_shard_queue_answers_overloaded() {
     );
     assert!(answered >= 1, "the worker still made progress");
 
-    let stats = server.shutdown();
-    assert_eq!(stats.overloads as usize, overloaded);
+    let stats = by_name(server.shutdown());
+    assert_eq!(stats["overloads"] as usize, overloaded);
 }
 
 #[test]
 fn shutdown_drains_in_flight_work() {
     // Fire a heavy request, wait until the server has demonstrably
-    // started on it (its context-cache miss is visible in the stats),
+    // started on it (its context-cache miss is visible in the metrics),
     // then ask for shutdown from another client: the in-flight request
     // must still get its real answer.
     let server = server_with(2, 16);
@@ -369,8 +470,8 @@ fn shutdown_drains_in_flight_work() {
     let mut controller = Client::connect(addr).expect("connect");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        let stats = controller.stats().expect("stats");
-        if stats.memory_misses > 0 || stats.queued > 0 || stats.served > 0 {
+        let stats = by_name(controller.metrics().expect("metrics"));
+        if stats["memory_misses"] > 0 || stats["queued"] > 0 || stats["served"] > 0 {
             break;
         }
         assert!(
@@ -385,9 +486,9 @@ fn shutdown_drains_in_flight_work() {
         Response::Analysis { row, .. } => assert_eq!(row.name, "nsichneu"),
         other => panic!("in-flight request lost to shutdown: {other:?}"),
     }
-    let stats = server.shutdown();
-    assert_eq!(stats.queued, 0, "nothing left behind");
-    assert!(stats.served >= 1);
+    let stats = by_name(server.shutdown());
+    assert_eq!(stats["queued"], 0, "nothing left behind");
+    assert!(stats["served"] >= 1);
 }
 
 #[test]
@@ -436,12 +537,12 @@ fn metrics_table_covers_legacy_stats_and_exact_quantiles() {
     let names: std::collections::BTreeMap<&str, u64> =
         table.iter().map(|(n, v)| (n.as_str(), *v)).collect();
 
-    // Every legacy ServiceStats counter appears under its frozen name —
-    // scrapers built against the struct keep working off the table.
-    for (legacy, _) in pwcet_serve::ServiceStats::default().entries() {
+    // Every stable name appears (the `fleet_*` transport rows need a
+    // fleet, which this server does not have).
+    for name in METRIC_NAMES.iter().filter(|n| !n.starts_with("fleet_")) {
         assert!(
-            names.contains_key(legacy),
-            "metrics table is missing legacy counter {legacy:?}"
+            names.contains_key(name),
+            "metrics table is missing {name:?}"
         );
     }
     assert_eq!(names["served"], 2);
@@ -469,18 +570,18 @@ fn metrics_table_covers_legacy_stats_and_exact_quantiles() {
 fn stats_expose_tier_hit_counts() {
     let server = server_with(2, 8);
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    let before = client.stats().expect("stats");
-    assert_eq!(before.served, 0);
+    let before = by_name(client.metrics().expect("metrics"));
+    assert_eq!(before["served"], 0);
     analyze(&mut client, bench("fibcall"));
     analyze(&mut client, bench("fibcall"));
-    let after = client.stats().expect("stats");
-    assert_eq!(after.served, 2);
-    assert_eq!(after.served_cold, 1);
-    assert_eq!(after.served_memory, 1);
-    assert!(after.memory_hits >= 1);
-    assert_eq!(after.shards, 2);
-    assert_eq!(after.queue_capacity, 8);
-    assert!(after.connections >= 1);
+    let after = by_name(client.metrics().expect("metrics"));
+    assert_eq!(after["served"], 2);
+    assert_eq!(after["served_cold"], 1);
+    assert_eq!(after["served_memory"], 1);
+    assert!(after["memory_hits"] >= 1);
+    assert_eq!(after["shards"], 2);
+    assert_eq!(after["queue_capacity"], 8);
+    assert!(after["connections"] >= 1);
     server.shutdown();
 }
 
@@ -607,4 +708,115 @@ fn streaming_more_programs_than_the_cap_keeps_the_compile_memo_bounded() {
         2 * programs.len() as u64
     );
     server.shutdown();
+}
+
+/// The table of a node that has served every tier names exactly
+/// [`METRIC_NAMES`], once each — no name is lost, none appears twice
+/// (two sources writing one name would surface as a duplicate row) —
+/// and the tier and memo counters read what this request sequence
+/// produces.
+#[test]
+fn metrics_table_names_are_stable_and_single_sourced() {
+    let program = |name: &str, iterations: u32| {
+        Program::new(name).with_function(
+            "main",
+            stmt::seq(vec![
+                stmt::loop_(iterations, stmt::compute(16)),
+                stmt::if_else(stmt::compute(9), stmt::loop_(12, stmt::compute(5))),
+            ]),
+        )
+    };
+    let dir = std::env::temp_dir().join(format!("pwcet-serve-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        ServerConfig {
+            shards: 2,
+            queue_capacity: 8,
+            ..ServerConfig::default()
+        }
+        .with_disk_dir(&dir)
+    };
+
+    // p1 lands on disk; the peer holds p2.
+    let seeder = Server::bind("127.0.0.1:0", config()).expect("bind seeder");
+    analyze(
+        &mut Client::connect(seeder.local_addr()).expect("connect"),
+        program("p1", 40),
+    );
+    seeder.shutdown();
+    let peer = server_with(2, 8);
+    analyze(
+        &mut Client::connect(peer.local_addr()).expect("connect"),
+        program("p2", 50),
+    );
+
+    let node = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            fleet: Some(pwcet_serve::FleetConfig::new(
+                "127.0.0.1:1", // placeholder self entry, never dialed
+                [peer.local_addr().to_string()],
+            )),
+            ..config()
+        },
+    )
+    .expect("bind node");
+    let mut client = Client::connect(node.local_addr()).expect("connect");
+    let tiers: Vec<ReuseTier> = [("p1", 40), ("p1", 40), ("p2", 50), ("p3", 60)]
+        .into_iter()
+        .map(|(name, iterations)| {
+            analyze(&mut client, program(name, iterations))
+                .0
+                .served_from
+        })
+        .collect();
+    assert_eq!(
+        tiers,
+        [
+            ReuseTier::Disk,
+            ReuseTier::Memory,
+            ReuseTier::Network,
+            ReuseTier::Cold
+        ]
+    );
+
+    let table = client.metrics().expect("metrics");
+    let names: Vec<&str> = table.iter().map(|(n, _)| n.as_str()).collect();
+    let mut expected = METRIC_NAMES.to_vec();
+    expected.sort_unstable();
+    assert_eq!(
+        names, expected,
+        "the table is sorted and names each row once"
+    );
+    let table = by_name(table);
+    for (name, value) in [
+        ("served", 4),
+        ("served_disk", 1),
+        ("served_memory", 1),
+        ("served_network", 1),
+        ("served_cold", 1),
+        ("disk_hits", 1),
+        ("disk_misses", 2),
+        ("disk_writes", 2),
+        ("network_hits", 1),
+        ("network_misses", 1),
+        ("network_offers", 1),
+        ("cold_builds", 1),
+        ("memory_hits", 1),
+        ("memory_misses", 3),
+        ("memory_len", 3),
+        ("compile_memo_hits", 1),
+        ("compile_memo_misses", 3),
+        ("estimate_memo_hits", 3),
+        ("estimate_memo_misses", 9),
+        ("peers", 1),
+        ("shards", 2),
+        ("queue_capacity", 8),
+    ] {
+        assert_eq!(table[name], value, "{name}");
+    }
+    drop(client);
+    node.shutdown();
+    peer.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,13 +8,14 @@
 //!    tier, bit-identically;
 //! 3. a **pfail sweep** and a **geometry sweep** riding the same warm
 //!    contexts;
-//! 4. the service stats: per-tier served counts and plane counters;
+//! 4. one metrics scrape: per-tier served counts and plane counters;
 //! 5. graceful shutdown (in-flight work drains first).
 //!
 //! ```text
 //! cargo run --release --example serve_quickstart
 //! ```
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use fault_aware_pwcet::benchsuite;
@@ -76,11 +77,12 @@ fn main() {
     // by an on-disk store (a restarted server would answer from it).
     let server = Server::bind("127.0.0.1:0", ServerConfig::default().with_disk_dir(&dir))
         .expect("bind ephemeral port");
+    let table: BTreeMap<String, u64> = server.metrics_table().into_iter().collect();
     println!(
         "serving on {} ({} shards, queue {})\n",
         server.local_addr(),
-        server.stats().shards,
-        server.stats().queue_capacity,
+        table["shards"],
+        table["queue_capacity"],
     );
 
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -158,24 +160,25 @@ fn main() {
         other => panic!("unexpected response: {other:?}"),
     }
 
-    let stats = client.stats().expect("stats");
+    // One scrape names every counter of the server and its reuse plane.
+    let table: BTreeMap<String, u64> = client.metrics().expect("metrics").into_iter().collect();
     println!(
         "\nserved={} | served_from memory/disk/derived/cold = {}/{}/{}/{} | \
          plane: {} memory hits, {} disk writes, {} derived",
-        stats.served,
-        stats.served_memory,
-        stats.served_disk,
-        stats.served_derived,
-        stats.served_cold,
-        stats.memory_hits,
-        stats.disk_writes,
-        stats.derived,
+        table["served"],
+        table["served_memory"],
+        table["served_disk"],
+        table["served_derived"],
+        table["served_cold"],
+        table["memory_hits"],
+        table["disk_writes"],
+        table["derived"],
     );
 
-    let final_stats = server.shutdown();
+    let table: BTreeMap<String, u64> = server.shutdown().into_iter().collect();
     println!(
         "server drained and shut down cleanly ({} requests served)",
-        final_stats.served
+        table["served"]
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
