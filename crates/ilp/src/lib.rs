@@ -11,7 +11,11 @@
 //!   between solves so repeated structurally-identical instances are
 //!   warm-started: objective-only variants re-optimize with primal
 //!   iterations from the previous optimum, and branch-and-bound children
-//!   re-solve by dual-simplex steps after each bound tightening.
+//!   re-solve by dual-simplex steps after each bound tightening. A warm
+//!   re-solve pays for its pivots: the dense basis inverse is updated
+//!   and read only where the pivot row and the right-hand side are
+//!   nonzero, and the dual prices are updated per pivot instead of
+//!   rebuilt (see the `sparse` module docs).
 //!   [`Model::solve_ilp`] runs a clone-free branch and bound over it —
 //!   nodes are `(variable, bound)` delta lists replayed onto an evolving
 //!   workspace, optionally explored by parallel workers sharing one

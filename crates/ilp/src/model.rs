@@ -504,8 +504,9 @@ impl Model {
         if options.max_nodes == 0 {
             return Err(IlpError::NodeLimit);
         }
-        let mut root_state = ws.state.as_ref().expect("prepare retains state").clone();
-        let mut root_branch = self.most_fractional(&root_state.values(), tol);
+        let root = ws.state.as_ref().expect("prepare retains state");
+        let mut probe = None;
+        let mut root_branch = self.most_fractional(&root.values(), tol);
         if root_branch.is_some() {
             // A fractional (possibly warm-started) root: probe it cold
             // once. Tie-degenerate warm bases can sit on fractional-
@@ -513,18 +514,21 @@ impl Model {
             // two-phase vertex (the dense reference's behavior) is very
             // often integral, turning a would-be search tree into a
             // single extra solve.
-            if let Ok(probe) = sparse::solve_cold(self, objective, |_| {}, &mut stats) {
-                root_branch = self.most_fractional(&probe.values(), tol);
-                root_state = probe;
+            if let Ok(state) = sparse::solve_cold(self, objective, |_| {}, &mut stats) {
+                root_branch = self.most_fractional(&state.values(), tol);
+                probe = Some(state);
             }
         }
         let Some((var, value)) = root_branch else {
-            return Ok((self.rounded(root_state.solution()), stats));
+            let solution = probe.as_ref().unwrap_or(root).solution();
+            return Ok((self.rounded(solution), stats));
         };
 
         // Branching needed: seed the two root children. Workers clone
         // the root-optimal state — basis and factored inverse, never
-        // the model — and replay each node's bound deltas onto it.
+        // the model — and replay each node's bound deltas onto it. Only
+        // here is the workspace's state cloned.
+        let root_state = probe.unwrap_or_else(|| root.clone());
         let shared_stats = SolveStatsCell::default();
         let incumbent: Mutex<Option<Solution>> = Mutex::new(None);
         let incumbent_bound = AtomicU64::new(f64::NEG_INFINITY.to_bits());

@@ -13,8 +13,16 @@
 //!   pays one full tableau row per `set_upper`/`set_lower`; here they
 //!   are two `f64`s.
 //! * **The constraint matrix is sparse.** Columns are `(row, coeff)`
-//!   lists; only the `m × m` basis inverse is dense, and `m` counts real
-//!   constraints only.
+//!   lists, and `m` counts real constraints only. The `m × m` basis
+//!   inverse is stored dense, but a warm re-solve is not charged for it
+//!   in full. A pivot updates only the nonzero entries of the pivot row.
+//!   `x_B` is recomputed from the few nonzeros of `b − N x_N`. The dual
+//!   prices are updated from the new pivot row after each pivot and
+//!   recomputed exactly only at the start and before optimality (or
+//!   unboundedness) is declared. Branch and bound clones the state only
+//!   when it branches. An objective-only re-solve therefore costs its
+//!   pivots, two exact price passes and one sparse `x_B` recompute, not
+//!   a pass over the inverse per iteration.
 //! * **State survives across solves.** An [`LpWorkspace`] keeps the
 //!   factored basis between calls. Re-solving the same constraint matrix
 //!   under a new objective starts primal iterations from the previous
@@ -574,6 +582,11 @@ impl State {
 
     /// Recomputes every basic value from the basis inverse:
     /// `x_B = B⁻¹ (b − N x_N)`.
+    ///
+    /// The effective right-hand side `b − N x_N` has only a handful of
+    /// nonzeros, so only their columns of `B⁻¹` are read. Each sum runs
+    /// in column order, like a full row-times-vector dot with its
+    /// exact-zero terms left out, so the values are the same.
     pub(crate) fn recompute_xb(&mut self) {
         let m = self.m;
         let mut effective = self.rhs.clone();
@@ -588,13 +601,14 @@ impl State {
                 }
             }
         }
-        for i in 0..m {
-            let row = &self.binv[i * m..(i + 1) * m];
-            self.xb[i] = row
-                .iter()
-                .zip(&effective)
-                .map(|(&b, &e)| b * e)
-                .sum::<f64>();
+        self.xb.fill(0.0);
+        for (k, &e) in effective.iter().enumerate() {
+            if e == 0.0 {
+                continue;
+            }
+            for (xb_i, row) in self.xb.iter_mut().zip(self.binv.chunks_exact(m)) {
+                *xb_i += row[k] * e;
+            }
         }
     }
 
@@ -642,22 +656,30 @@ impl State {
     }
 
     /// Product-form update of the basis inverse after column `q` (with
-    /// `ftran` result `w`) replaces the basic column of row `r`.
+    /// `ftran` result `w`) replaces the basic column of row `r`. Only the
+    /// nonzeros of the pivot row are touched: the rows of `B⁻¹` are
+    /// mostly zero, and subtracting a zero multiple changes nothing.
     fn pivot_binv(&mut self, r: usize, w: &[f64]) {
         let m = self.m;
         let pivot = w[r];
         debug_assert!(pivot.abs() > EPS, "pivot on a zero element");
         let (before, rest) = self.binv.split_at_mut(r * m);
         let (pivot_row, after) = rest.split_at_mut(m);
-        for v in pivot_row.iter_mut() {
-            *v /= pivot;
-        }
+        let nonzeros: Vec<(usize, f64)> = pivot_row
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, v)| **v != 0.0)
+            .map(|(k, v)| {
+                *v /= pivot;
+                (k, *v)
+            })
+            .collect();
         let scale_rows = |rows: &mut [f64], base: usize| {
             for (chunk_index, chunk) in rows.chunks_exact_mut(m).enumerate() {
                 let factor = w[base + chunk_index];
                 if factor != 0.0 {
-                    for (v, &p) in chunk.iter_mut().zip(pivot_row.iter()) {
-                        *v -= factor * p;
+                    for &(k, p) in &nonzeros {
+                        chunk[k] -= factor * p;
                     }
                 }
             }
@@ -669,18 +691,28 @@ impl State {
     /// Primal bounded simplex: maximizes the current objective from a
     /// primal-feasible basis.
     ///
+    /// The dual prices are computed once and then updated from the new
+    /// pivot row after each pivot. They are recomputed exactly, and the
+    /// pricing pass repeated, before optimality or unboundedness is
+    /// declared, and on every iteration of the Bland fallback.
+    ///
     /// # Errors
     ///
     /// [`IlpError::Unbounded`] or [`IlpError::IterationLimit`].
     fn primal(&mut self, stats: &mut SolveStats) -> Result<(), IlpError> {
         let limit = 200 + 20 * (self.m + self.cols.len());
+        let mut y = self.dual_prices();
+        let mut y_exact = true;
         for iteration in 0..limit {
             let use_bland = iteration > limit / 2;
-            let y = self.dual_prices();
+            if use_bland && !y_exact {
+                y = self.dual_prices();
+                y_exact = true;
+            }
             // Pricing: a variable at its lower bound improves by
             // increasing (positive reduced cost), one at its upper bound
             // by decreasing (negative reduced cost).
-            let mut entering: Option<usize> = None;
+            let mut entering: Option<(usize, f64)> = None;
             let mut best = EPS;
             for j in 0..self.cols.len() {
                 if self.status[j] == Status::Basic || self.is_fixed(j) {
@@ -696,16 +728,21 @@ impl State {
                     continue;
                 }
                 if use_bland {
-                    entering = Some(j);
+                    entering = Some((j, d));
                     break;
                 }
                 if d.abs() > best {
                     best = d.abs();
-                    entering = Some(j);
+                    entering = Some((j, d));
                 }
             }
-            let Some(q) = entering else {
-                return Ok(());
+            let Some((q, d_q)) = entering else {
+                if y_exact {
+                    return Ok(());
+                }
+                y = self.dual_prices();
+                y_exact = true;
+                continue;
             };
             let sigma = if self.status[q] == Status::AtLower {
                 1.0
@@ -749,6 +786,13 @@ impl State {
                 }
             }
             if t == INF {
+                // An unbounded ray proves nothing if a drifted price
+                // chose its column: re-price exactly first.
+                if !y_exact {
+                    y = self.dual_prices();
+                    y_exact = true;
+                    continue;
+                }
                 return Err(IlpError::Unbounded);
             }
             match leaving {
@@ -783,6 +827,12 @@ impl State {
                     self.basis[r] = q;
                     self.status[q] = Status::Basic;
                     self.xb[r] = entering_value;
+                    // y' = y + d_q · (row r of the new B⁻¹).
+                    let m = self.m;
+                    for (y_k, &b) in y.iter_mut().zip(&self.binv[r * m..(r + 1) * m]) {
+                        *y_k += d_q * b;
+                    }
+                    y_exact = false;
                 }
             }
         }

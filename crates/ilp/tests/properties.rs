@@ -285,6 +285,10 @@ fn arb_general(integral: bool) -> impl Strategy<Value = GeneralModel> {
 }
 
 fn general_to_model(g: &GeneralModel) -> Model {
+    general_to_model_with_vars(g).0
+}
+
+fn general_to_model_with_vars(g: &GeneralModel) -> (Model, Vec<pwcet_ilp::VarId>) {
     let mut m = Model::new();
     let vars: Vec<_> = g
         .objective
@@ -318,7 +322,7 @@ fn general_to_model(g: &GeneralModel) -> Model {
             f64::from(*rhs),
         );
     }
-    m
+    (m, vars)
 }
 
 /// Reduces a solve outcome to the feasibility class + objective the two
@@ -385,43 +389,6 @@ proptest! {
         );
     }
 
-    /// Warm path: a sequence of objective variants solved through one
-    /// workspace (the IpetTemplate shape) matches fresh cold solves of
-    /// each variant.
-    #[test]
-    fn warm_objective_variants_match_cold_solves(
-        g in arb_general(true),
-        objectives in proptest::collection::vec(
-            proptest::collection::vec(-5i32..8, 3),
-            1..5,
-        ),
-    ) {
-        let m = general_to_model(&g);
-        let n = m.num_vars();
-        let mut ws = LpWorkspace::new();
-        let options = equivalence_options();
-        for objective in &objectives {
-            if objective.len() < n {
-                continue;
-            }
-            let coeffs: Vec<f64> = objective.iter().take(n).map(|&c| f64::from(c)).collect();
-            let warm = m
-                .solve_ilp_in(Some(&coeffs), &mut ws, &options)
-                .map(|(s, _)| s);
-            // The cold oracle: the same instance rebuilt from scratch
-            // with the variant objective baked in.
-            let mut variant = g.clone();
-            variant.objective = objective[..n].to_vec();
-            let cold = general_to_model(&variant).solve_ilp_with(&options);
-            assert_equivalent(outcome_class(&warm), outcome_class(&cold));
-            if warm.is_err() {
-                // An infeasible/unbounded model stays so for every
-                // objective variant that matters; no need to iterate.
-                break;
-            }
-        }
-    }
-
     /// Parallel subtree exploration returns the same optimum as the
     /// sequential drain (and therefore as the dense reference).
     #[test]
@@ -435,6 +402,168 @@ proptest! {
         assert_equivalent(
             outcome_class(&parallel),
             outcome_class(&sequential),
+        );
+    }
+}
+
+/// One solve of a mixed warm sequence through a single workspace. Every
+/// kind keeps the constraint matrix (and so the workspace fingerprint),
+/// so each one takes the warm path.
+#[derive(Debug, Clone)]
+enum WarmStep {
+    /// A new objective (the `IpetTemplate` fan-out shape).
+    Objective(Vec<i32>),
+    /// New variable bounds of the same matrix.
+    Bounds {
+        lower: Vec<u8>,
+        upper: Vec<Option<u8>>,
+    },
+    /// `max_nodes: 0`, which fails with `NodeLimit` past a solved root.
+    NodeLimit,
+    /// Lower bound above the upper bound on one variable: `Infeasible`.
+    CrossedBounds(usize),
+}
+
+fn arb_warm_step() -> impl Strategy<Value = WarmStep> {
+    prop_oneof![
+        proptest::collection::vec(-5i32..8, 3).prop_map(WarmStep::Objective),
+        (
+            proptest::collection::vec(0u8..3, 3),
+            proptest::collection::vec(proptest::option::of(1u8..8), 3),
+        )
+            .prop_map(|(lower, upper)| WarmStep::Bounds { lower, upper }),
+        Just(WarmStep::NodeLimit),
+        (0usize..3).prop_map(WarmStep::CrossedBounds),
+    ]
+}
+
+/// Applies `step` to `g` (which accumulates objective and bound changes
+/// across the sequence). Returns the warm model, which keeps
+/// `base_objective` so that the accumulated objective must come from the
+/// override; the cold oracle, with that objective built in; and the
+/// options.
+fn warm_step_models(
+    g: &mut GeneralModel,
+    base_objective: &[i32],
+    step: &WarmStep,
+) -> (Model, Model, BranchAndBoundOptions) {
+    let n = g.objective.len();
+    let mut options = equivalence_options();
+    match step {
+        WarmStep::Objective(objective) => g.objective = objective[..n].to_vec(),
+        WarmStep::Bounds { lower, upper } => {
+            g.lower = lower[..n].to_vec();
+            g.upper = upper[..n].to_vec();
+        }
+        WarmStep::NodeLimit => options.max_nodes = 0,
+        WarmStep::CrossedBounds(_) => {}
+    }
+    let build = |g: &GeneralModel| {
+        let (mut m, vars) = general_to_model_with_vars(g);
+        if let WarmStep::CrossedBounds(i) = step {
+            m.set_upper(vars[i % n], 1.0);
+            m.set_lower(vars[i % n], 2.0);
+        }
+        m
+    };
+    let warm = build(&GeneralModel {
+        objective: base_objective.to_vec(),
+        ..g.clone()
+    });
+    (warm, build(g), options)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Warm path: one workspace through a mix of objective variants (the
+    /// `IpetTemplate` shape: the model keeps its first objective and the
+    /// variant comes only as an override), bound variants of the same
+    /// matrix and failing solves. Every outcome,
+    /// including those right after a failure, matches a cold solve of
+    /// the same model. Failures are compared exactly; they are
+    /// deterministic (`NodeLimit` at `max_nodes: 0` needs only a solved
+    /// root, crossed bounds are caught before any simplex work).
+    #[test]
+    fn mixed_warm_sequence_matches_cold_solves(
+        g in arb_general(true),
+        steps in proptest::collection::vec(arb_warm_step(), 1..8),
+        lp in any::<bool>(),
+    ) {
+        let mut g = g;
+        let base_objective = g.objective.clone();
+        let mut ws = LpWorkspace::new();
+        for step in &steps {
+            let (m, oracle, options) = warm_step_models(&mut g, &base_objective, step);
+            let objective: Vec<f64> = g.objective.iter().map(|&c| f64::from(c)).collect();
+            let (warm, cold) = if lp {
+                (
+                    m.solve_lp_in(Some(&objective), &mut ws).map(|(s, _)| s),
+                    oracle.solve_lp(),
+                )
+            } else {
+                (
+                    m.solve_ilp_in(Some(&objective), &mut ws, &options)
+                        .map(|(s, _)| s),
+                    oracle.solve_ilp_with(&options),
+                )
+            };
+            let (warm, cold) = (outcome_class(&warm), outcome_class(&cold));
+            match step {
+                WarmStep::CrossedBounds(_) => {
+                    prop_assert_eq!(warm, Err(IlpError::Infeasible));
+                    prop_assert_eq!(cold, Err(IlpError::Infeasible));
+                }
+                WarmStep::NodeLimit if !lp => prop_assert_eq!(warm, cold),
+                _ => assert_equivalent(warm, cold),
+            }
+        }
+    }
+}
+
+/// The first solve of a hydrated workspace equals a cold solve, and is
+/// warm.
+#[test]
+fn first_solve_of_a_hydrated_workspace_matches_a_cold_solve() {
+    let mut m = Model::new();
+    let x = m.add_var("x", 0.0);
+    let y = m.add_var("y", 0.0);
+    let z = m.add_var("z", 0.0);
+    m.set_upper(z, 4.0);
+    m.set_lower(y, 1.0);
+    m.add_constraint([(x, 1.0), (y, 2.0), (z, 1.0)], ConstraintOp::Le, 14.0);
+    m.add_constraint([(x, 3.0), (y, 1.0)], ConstraintOp::Le, 15.0);
+    m.add_constraint([(x, 1.0), (z, -1.0)], ConstraintOp::Ge, -2.0);
+    m.add_constraint([(y, 1.0), (z, 1.0)], ConstraintOp::Eq, 5.0);
+    for v in [x, y, z] {
+        m.mark_integer(v);
+    }
+    let options = BranchAndBoundOptions::default();
+    let mut donor = LpWorkspace::new();
+    m.solve_ilp_in(Some(&[1.0, 1.0, 1.0]), &mut donor, &options)
+        .expect("feasible");
+    let snapshot = donor.snapshot().expect("a solved workspace is warm");
+    for objective in [[1.0, 1.0, 1.0], [2.0, -1.0, 3.0], [0.0, 1.0, 0.0]] {
+        let mut hydrated = LpWorkspace::new();
+        assert!(hydrated.hydrate(&m, &snapshot), "snapshot hydrates");
+        let (warm, stats) = m
+            .solve_ilp_in(Some(&objective), &mut hydrated, &options)
+            .expect("feasible");
+        let mut variant = m.clone();
+        variant.set_objective_vector(&objective);
+        let cold = variant.solve_ilp_with(&options).expect("feasible");
+        assert_eq!(warm.objective, cold.objective, "objective {objective:?}");
+        assert_eq!(stats.cold_starts, 0, "a hydrated basis is warm");
+        assert!(stats.warm_starts >= 1, "the root solve is warm");
+        let mut hydrated = LpWorkspace::new();
+        assert!(hydrated.hydrate(&m, &snapshot));
+        let (lp_warm, _) = m
+            .solve_lp_in(Some(&objective), &mut hydrated)
+            .expect("feasible");
+        let lp_cold = variant.solve_lp().expect("feasible");
+        assert_eq!(
+            lp_warm.objective, lp_cold.objective,
+            "LP objective {objective:?}"
         );
     }
 }

@@ -9,7 +9,7 @@ fn gains_are_positive_for_representative_benchmarks() {
     // §IV-B: "for all benchmarks, using the SRB or the RW results in
     // significantly lower pWCETs compared to an architecture with no
     // protection" — spot-checked on a category-spanning subset (the full
-    // 25-benchmark sweep lives in the fig4 binary).
+    // 25-benchmark sweep is `full_suite_reproduces_figure4_shape`).
     let config = AnalysisConfig::paper_default();
     for name in ["adpcm", "bs", "fdct", "nsichneu", "ud"] {
         let bench = pwcet_benchsuite::by_name(name).expect("exists");
@@ -39,7 +39,6 @@ fn tiny_resident_code_is_rw_masked() {
 }
 
 #[test]
-#[ignore = "runs the full 25-benchmark suite (~minutes); exercised by the fig4 binary"]
 fn full_suite_reproduces_figure4_shape() {
     let config = AnalysisConfig::paper_default();
     let results = run_suite(&config, TARGET_PROBABILITY).expect("suite analyzes");

@@ -9,10 +9,10 @@
 //! therefore every pWCET quantile. `AnalysisConfig.ipet.solver =
 //! SolverBackend::DenseReference` re-runs the pipeline on the frozen
 //! reference (`crates/ilp/src/reference.rs`); this suite compares the
-//! two end to end — a category-spanning subset always on, the complete
-//! 25-benchmark suite `#[ignore]`d for the nightly CI
-//! `--include-ignored` step. The solver-level random-instance
-//! equivalence lives in `crates/ilp/tests/properties.rs`.
+//! two end to end, on a category-spanning subset and on the complete
+//! 25-benchmark suite (a few seconds under the optimized test profile).
+//! The solver-level random-instance equivalence lives in
+//! `crates/ilp/tests/properties.rs`.
 
 use std::sync::Arc;
 
@@ -179,7 +179,6 @@ fn derived_geometry_sweep_matches_dense_reference_per_point() {
 }
 
 #[test]
-#[ignore = "runs the complete 25-benchmark suite under both solver backends (~minutes); nightly CI runs it via --include-ignored"]
 fn sparse_bounds_match_dense_reference_across_the_entire_suite() {
     for bench in benchsuite::all() {
         assert_benchmark_equivalent(bench.name);
